@@ -82,10 +82,8 @@ def _read_csv_matrix(path):
 
 
 def _weight_spec(args, k):
-    if k == 3:
-        w2 = _parse_weight(args.weight, 2)
-        return WeightSpec.block(w2, args.w3)
-    return WeightSpec(_parse_weight(args.weight, 2))
+    w2 = _parse_weight(args.weight, 2)
+    return WeightSpec.block(w2, args.w3) if k == 3 else WeightSpec(w2)
 
 
 def _add_theta(parser):
@@ -202,31 +200,30 @@ def cmd_sweep(args):
     axis = {"theta1": 0, "theta2": 1, "theta3": 2}[args.axis]
     if args.steps < 1:
         raise ValueError("steps must be at least 1")
-    values = (
-        np.array([args.min])
-        if args.steps == 1
-        else np.linspace(args.min, args.max, args.steps)
-    )
+    values = np.linspace(args.min, args.max, args.steps)  # [min] when steps == 1
     k = 2 if args.nuisance == "known" else 3
-    writer = csv.writer(sys.stdout)
-    writer.writerow([args.axis] + list(BOUND_COLUMNS))
-    skipped = 0
+    w = _weight_spec(args, k)
+    rows = []  # printed only once every point succeeded: no partial CSV
+    singular = outside = 0
     for value in values:
         point = list(base)
         point[axis] = float(value)
         if abs(point[0]) < 1e-3:
-            skipped += 1
-            continue
-        t = ThetaParams(*point)
-        w = _weight_spec(args, k)
-        report = bound_report(t, k, w)
-        writer.writerow([_fmt(value)] + [_fmt(getattr(report, c)) for c in BOUND_COLUMNS])
-    if skipped:
-        print(
-            f"skipped {skipped} grid points with |theta1| < 1e-3 "
-            "(phase information diverges as theta1 -> 0)",
-            file=sys.stderr,
-        )
+            singular += 1
+        elif point[0] ** 2 + point[1] ** 2 >= 1.0:
+            outside += 1
+        else:
+            report = bound_report(ThetaParams(*point), k, w)
+            rows.append([_fmt(value)] + [_fmt(getattr(report, c)) for c in BOUND_COLUMNS])
+    writer = csv.writer(sys.stdout)
+    writer.writerow([args.axis] + list(BOUND_COLUMNS))
+    writer.writerows(rows)
+    for count, where in (
+        (singular, "with |theta1| < 1e-3 (phase information diverges as theta1 -> 0)"),
+        (outside, "outside the Bloch ball (theta1^2 + theta2^2 >= 1)"),
+    ):
+        if count:
+            print(f"skipped {count} grid points {where}", file=sys.stderr)
     return 0
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "sld_fisher_inverse",
     "rld_fisher",
     "rld_fisher_inverse",
+    "outcome_gradients",
     "classical_fisher",
     "effective_fisher",
 ]
@@ -164,6 +165,18 @@ def rld_fisher_inverse(t, k=3):
     return out
 
 
+def outcome_gradients(t, povm, k=3):
+    """Outcome probabilities Tr(rho Pi_x) and gradients Tr(d_i rho Pi_x).
+
+    Returns (p, dp) of shapes (m,) and (m, k), in the POVM's element order.
+    """
+    rho = state_from_theta(t)
+    drhos = state_derivatives(t, k)
+    p = np.array([np.trace(rho @ m).real for _, m in povm])
+    dp = np.array([[np.trace(d @ m).real for d in drhos] for _, m in povm])
+    return p, dp
+
+
 def classical_fisher(t, povm, k=3):
     """Classical Fisher information of a POVM measured on the model at t.
 
@@ -171,20 +184,17 @@ def classical_fisher(t, povm, k=3):
     d_i p(x) = Tr(d_i rho Pi_x).  Outcomes with p below 1e-14 contribute
     nothing when their gradient also vanishes, and raise otherwise.
     """
-    rho = state_from_theta(t)
-    drhos = state_derivatives(t, k)
+    p, dp = outcome_gradients(t, povm, k)
     j = np.zeros((k, k))
-    for label, element in povm:
-        p = float(np.trace(rho @ element).real)
-        dp = np.array([np.trace(d @ element).real for d in drhos])
-        if p < 1e-14:
-            if np.max(np.abs(dp)) > 1e-12:
+    for (label, _), px, grad in zip(povm, p, dp):
+        if px < 1e-14:
+            if np.max(np.abs(grad)) > 1e-12:
                 raise SingularModelError(
                     f"outcome {label!r} has zero probability but gradient "
-                    f"{np.max(np.abs(dp)):.3e}"
+                    f"{np.max(np.abs(grad)):.3e}"
                 )
             continue
-        j += np.outer(dp, dp) / p
+        j += np.outer(grad, grad) / px
     return j
 
 

@@ -7,21 +7,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import WeightSpec, hgm_bound
-from .fisher import classical_fisher, sld_fisher
+from .fisher import classical_fisher, outcome_gradients, sld_fisher
 from .model import (
     SIGMA,
     SIGMA0,
     ThetaParams,
     bloch_from_theta,
-    state_derivatives,
     state_from_theta,
 )
 
 __all__ = [
     "Povm",
+    "BlochPovm",
     "OptimalPovmPlan",
     "QuantumEstimator",
     "RankDeficientMeasurementError",
+    "optimal_povm_plan",
     "build_optimal_povm",
     "build_optimal_estimator",
     "verify_locally_unbiased",
@@ -34,6 +35,13 @@ PSD_TOL = 1e-12
 
 class RankDeficientMeasurementError(ValueError):
     """The measurement's classical Fisher matrix is singular."""
+
+
+def _clip_probabilities(p):
+    """p clipped at 0; raises if an entry is below -1e-12 (not round-off)."""
+    if np.min(p) < -1e-12:
+        raise ValueError(f"negative outcome probability {np.min(p):.3e}")
+    return np.clip(p, 0.0, None)
 
 
 class Povm:
@@ -73,10 +81,9 @@ class Povm:
     def probabilities(self, t):
         """Born-rule outcome probabilities at the model point t."""
         rho = state_from_theta(t)
-        p = np.array([np.trace(rho @ m).real for _, m in self._elements])
-        if np.min(p) < -1e-12:
-            raise ValueError(f"negative outcome probability {np.min(p):.3e}")
-        return np.clip(p, 0.0, None)
+        return _clip_probabilities(
+            np.array([np.trace(rho @ m).real for _, m in self._elements])
+        )
 
     def to_json(self):
         """JSON text: list of {label, matrix: [[re, im] x 4]} (row-major)."""
@@ -100,6 +107,38 @@ class Povm:
 
 
 @dataclass(frozen=True)
+class BlochPovm:
+    """A qubit POVM in Bloch form: elements w_x (I + a_x . sigma)/2.
+
+    The outcome probabilities at Bloch vector s are w_x (1 + a_x . s)/2.
+    The model is covariant under rotation about z, so the measurement that
+    is optimal at phase phi is the one at phase 0 rotated by phi.
+    """
+
+    labels: tuple
+    weights: np.ndarray  # (m,), the traces of the elements
+    axes: np.ndarray  # (m, 3) Bloch vectors, unit for projective elements
+
+    def probabilities(self, t):
+        """Born-rule outcome probabilities at the model point t."""
+        s = bloch_from_theta(t)
+        return _clip_probabilities(0.5 * self.weights * (1.0 + self.axes @ s))
+
+    def rotated(self, phi):
+        """The same POVM rotated about the z axis by the angle phi."""
+        c, s = np.cos(phi), np.sin(phi)
+        rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        return BlochPovm(self.labels, self.weights, self.axes @ rotation.T)
+
+    def povm(self):
+        """The matrix view as a validated Povm."""
+        return Povm(
+            (label, 0.5 * w * (SIGMA0 + np.tensordot(a, SIGMA, axes=1)))
+            for label, w, a in zip(self.labels, self.weights, self.axes)
+        )
+
+
+@dataclass(frozen=True)
 class OptimalPovmPlan:
     """Measurement directions, mixture probabilities, and F eigenvalues."""
 
@@ -107,18 +146,24 @@ class OptimalPovmPlan:
     probabilities: np.ndarray  # (k,), sqrt(lambda_i) / sum sqrt(lambda_j)
     lambdas: np.ndarray  # descending eigenvalues of F
 
+    def measurement(self):
+        """The 2k-element POVM p_i (I +/- n_i . sigma)/2, labels "i+", "i-"."""
+        k = len(self.directions)
+        labels = tuple(f"{i}{sign}" for i in range(1, k + 1) for sign in "+-")
+        axes = np.stack((self.directions, -self.directions), axis=1).reshape(-1, 3)
+        return BlochPovm(labels, np.repeat(self.probabilities, 2), axes)
 
-def _projector_direction(t, w, lam, lam_other):
-    """Unit Bloch vector of the rank-1 projector E (W - lam_other G) E^T / norm."""
-    g = sld_fisher(t, 2)
-    c3, s3 = np.cos(t.theta3), np.sin(t.theta3)
-    e = np.array([[c3, 0.0], [s3, 0.0], [0.0, 1.0]])
-    denom = np.trace(w) - lam_other * np.trace(g)
-    if abs(denom) < 1e-12:
-        return None
-    m = e @ ((w - lam_other * g) / denom) @ e.T
-    m = 0.5 * (m + m.T)
-    vals, vecs = np.linalg.eigh(m)
+
+def _projector_direction(e, w, g, lam_other):
+    """Unit Bloch vector of the rank-1 projector E (W - lam_other G) E^T / norm.
+
+    The normalizer tr W - lam_other tr G is at least |lambda_1 - lambda_2|
+    in modulus, because W - lam_other G = G^(1/2) (F - lam_other) G^(1/2) has
+    rank 1 and the eigenvalues of G are at least 1; so it vanishes only in
+    the degenerate case, which the caller handles apart.
+    """
+    m = e @ ((w - lam_other * g) / (np.trace(w) - lam_other * np.trace(g))) @ e.T
+    vals, vecs = np.linalg.eigh(0.5 * (m + m.T))
     if abs(vals[-2]) > 1e-9:
         raise AssertionError(
             f"projector is not rank-1 (second eigenvalue {vals[-2]:.3e})"
@@ -126,59 +171,39 @@ def _projector_direction(t, w, lam, lam_other):
     return vecs[:, -1]
 
 
-def _sldhat_direction(t, row):
-    """Direction from the SLD linear-combination route.
-
-    The PVM measures the observable sum_j row_j L_j; its measurement axis
-    is the Bloch part of that operator, normalized.
-    """
-    from .fisher import sld_operators
-
-    ops = sld_operators(t, 2)
-    vec = row @ ops.vectors
-    return vec / np.linalg.norm(vec)
-
-
-def build_optimal_povm(t, w):
-    """Optimal 4-element POVM attaining the Nagaoka/HGM bound (k=2).
+def optimal_povm_plan(t, w):
+    """The plan of the 4-element POVM attaining the Nagaoka/HGM bound (k=2).
 
     The phase theta3 is taken from t (the known-phase construction).
     Two binary PVMs along directions n_i are mixed with probabilities
-    p_i = sqrt(lambda_i) / sum_j sqrt(lambda_j), realized as a single
-    2k-element POVM with elements pre-multiplied by p_i.
+    p_i = sqrt(lambda_i) / sum_j sqrt(lambda_j).
     """
     if isinstance(w, WeightSpec):
         w = w.matrix
     w = np.asarray(w, dtype=float)
     _, lam, u = hgm_bound(t, 2, w)
     sqrt_lam = np.sqrt(np.clip(lam, 0.0, None))
-    probs = sqrt_lam / np.sum(sqrt_lam)
     c3, s3 = np.cos(t.theta3), np.sin(t.theta3)
     e = np.array([[c3, 0.0], [s3, 0.0], [0.0, 1.0]])
     if lam[0] - lam[1] < 1e-10:
         # degenerate spectrum: any orthogonal pair in the E plane is optimal
         directions = (e @ u).T
     else:
-        from .linalg import psd_sqrt
+        g = sld_fisher(t, 2)
+        directions = np.array(
+            [_projector_direction(e, w, g, lam[other]) for other in (1, 0)]
+        )
+    return OptimalPovmPlan(directions, sqrt_lam / np.sum(sqrt_lam), lam)
 
-        ginv_root = psd_sqrt(np.linalg.inv(sld_fisher(t, 2)))
-        directions = []
-        for i, other in ((0, 1), (1, 0)):
-            n = _projector_direction(t, w, lam[i], lam[other])
-            if n is None:
-                # near-singular normalizer: fall back to the SLD
-                # linear-combination route for this eigendirection
-                n = _sldhat_direction(t, (u.T @ ginv_root)[i])
-            directions.append(n)
-        directions = np.array(directions)
-    elements = []
-    for i, (n, p) in enumerate(zip(directions, probs), start=1):
-        proj_plus = 0.5 * (SIGMA0 + np.tensordot(n, SIGMA, axes=1))
-        proj_minus = SIGMA0 - proj_plus
-        elements.append((f"{i}+", p * proj_plus))
-        elements.append((f"{i}-", p * proj_minus))
-    plan = OptimalPovmPlan(np.array(directions), probs, lam)
-    return Povm(elements), plan
+
+def build_optimal_povm(t, w):
+    """Optimal 4-element POVM attaining the Nagaoka/HGM bound (k=2).
+
+    Returns (povm, plan): the matrix view of `plan.measurement()`, with
+    elements "i+", "i-" equal to p_i (I +/- n_i . sigma)/2, and the plan.
+    """
+    plan = optimal_povm_plan(t, w)
+    return plan.measurement().povm(), plan
 
 
 @dataclass(frozen=True)
@@ -215,17 +240,12 @@ def build_optimal_estimator(t, w, povm, k=2):
         raise RankDeficientMeasurementError(str(exc)) from exc
     if np.linalg.cond(j) > 1e12:
         raise RankDeficientMeasurementError("classical Fisher matrix is singular")
-    rho = state_from_theta(t)
-    drhos = state_derivatives(t, k)
+    p, dp = outcome_gradients(t, povm, k)
     theta = t.as_array(k)
-    estimates = {}
-    for label, element in povm:
-        p = float(np.trace(rho @ element).real)
-        dp = np.array([np.trace(d @ element).real for d in drhos])
-        if p < 1e-14:
-            estimates[label] = theta.copy()
-            continue
-        estimates[label] = theta + jinv @ (dp / p)
+    estimates = {
+        label: theta.copy() if px < 1e-14 else theta + jinv @ (grad / px)
+        for label, px, grad in zip(povm.labels, p, dp)
+    }
     return QuantumEstimator(povm, estimates, t)
 
 
@@ -238,19 +258,10 @@ def verify_locally_unbiased(estimator, k=None):
     t = estimator.anchor
     if k is None:
         k = estimator.k
-    rho = state_from_theta(t)
-    drhos = state_derivatives(t, k)
-    theta = t.as_array(k)
-    mean = np.zeros(k)
-    deriv = np.zeros((k, k))
-    for label, element in estimator.povm:
-        est = np.asarray(estimator.estimates[label])[:k]
-        p = float(np.trace(rho @ element).real)
-        dp = np.array([np.trace(d @ element).real for d in drhos])
-        mean += est * p
-        deriv += np.outer(est, dp)
-    bias_residual = float(np.max(np.abs(mean - theta)))
-    derivative_residual = float(np.max(np.abs(deriv - np.eye(k))))
+    p, dp = outcome_gradients(t, estimator.povm, k)
+    est = np.array([estimator.estimates[label][:k] for label in estimator.povm.labels])
+    bias_residual = float(np.max(np.abs(p @ est - t.as_array(k))))
+    derivative_residual = float(np.max(np.abs(est.T @ dp - np.eye(k))))
     return {
         "bias_residual": bias_residual,
         "derivative_residual": derivative_residual,

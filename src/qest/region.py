@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import gamma_factor, InfeasibleMseError
 from .fisher import rld_fisher_inverse, sld_fisher_inverse
 
 __all__ = [
@@ -79,13 +78,6 @@ def in_region_D_GM(v, t):
         "trace_slack": float(1.0 - np.trace(ginv @ np.linalg.inv(v))),
     }
     return _verdict(margins)
-
-
-def _gamma_or_none(v33, g33):
-    try:
-        return gamma_factor(v33, g33)
-    except InfeasibleMseError:
-        return None
 
 
 def in_region_D3(v, t):

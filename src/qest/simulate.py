@@ -6,31 +6,38 @@ Three strategies are supported:
   copies with the optimal POVM and averages the locally unbiased estimates.
 * ``two-step`` -- the phase is hidden; floor(n^e) copies are spent on a
   simple equatorial phase estimate, the rest on the optimal measurement
-  built at the estimated phase.
+  aimed at the estimated phase.
 * ``adaptive`` -- the full parameter vector is unknown; copies are consumed
   in batches, with a maximum-likelihood re-estimate (and a re-targeted
   optimal POVM) after every batch.
+
+The model is covariant under rotation about z: the optimal measurement at
+phase phi is the one at phase 0 rotated by phi, and its estimator table
+does not depend on phi.  So ``two-step`` builds the measurement and the
+table once per run, at (theta1, theta2, 0), and each trial only rotates the
+measurement's Bloch axes by its estimated phase.  ``adaptive`` takes each
+batch's measurement in Bloch form (weights, axes) and stacks the outcomes
+of all batches in one array, so a Fisher-scoring step is one vectorized
+pass over it.
 
 Trials draw from independent counter-based streams derived from
 (seed, trial index), so results are deterministic and order-independent.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .bounds import WeightSpec
 from .fisher import classical_fisher
-from .model import (
-    MIN_THETA1,
-    SIGMA,
-    SIGMA0,
-    ThetaParams,
-    bloch_derivatives,
-    bloch_from_theta,
+from .model import ThetaParams, bloch_derivatives, bloch_from_theta
+from .povm import (
+    BlochPovm,
+    build_optimal_estimator,
+    build_optimal_povm,
+    optimal_povm_plan,
 )
-from .povm import Povm, build_optimal_estimator, build_optimal_povm
 
 __all__ = [
     "SimConfig",
@@ -87,7 +94,10 @@ class SimResult:
 
 
 def sample_outcomes(t, povm, n, rng):
-    """Multinomial outcome counts from n copies measured with the POVM."""
+    """Multinomial outcome counts from n copies measured with the POVM.
+
+    povm is a Povm or a BlochPovm; both give their probabilities at t.
+    """
     p = povm.probabilities(t)
     return rng.multinomial(n, p / np.sum(p))
 
@@ -113,6 +123,17 @@ def mse_from_trials(estimates, truth, weight, n=1):
     return SimResult(v, weighted, n * weighted, stderr)
 
 
+def _interest_weight(weight):
+    """The 2x2 interest block of the weight: the W of the k=2 bounds."""
+    return weight.matrix if weight.is_block else weight.full()[:2, :2]
+
+
+def _result(cfg, trial_means, w2, diagnostics):
+    """SimResult of the per-trial interest estimates, stderr per copy."""
+    result = mse_from_trials(trial_means, cfg.theta_true.as_array(2), w2, n=cfg.n)
+    return replace(result, stderr=cfg.n * result.stderr, diagnostics=diagnostics)
+
+
 def run_single_copy_optimal(cfg):
     """Known-phase baseline: optimal POVM and estimator at the truth.
 
@@ -121,10 +142,9 @@ def run_single_copy_optimal(cfg):
     against the Nagaoka bound.
     """
     t = cfg.theta_true
-    w2 = cfg.weight.matrix if cfg.weight.is_block else cfg.weight.full()[:2, :2]
+    w2 = _interest_weight(cfg.weight)
     povm, _ = build_optimal_povm(t, w2)
-    estimator = build_optimal_estimator(t, w2, povm)
-    est_matrix = estimator.estimate_matrix()
+    est_matrix = build_optimal_estimator(t, w2, povm).estimate_matrix()
     p = povm.probabilities(t)
     p = p / np.sum(p)
     trial_means = np.empty((cfg.trials, 2))
@@ -132,31 +152,19 @@ def run_single_copy_optimal(cfg):
         rng = cfg.trial_rng(trial)
         counts = rng.multinomial(cfg.n, p)
         trial_means[trial] = counts @ est_matrix / cfg.n
-    result = mse_from_trials(trial_means, t.as_array(2), w2, n=cfg.n)
     exact = np.linalg.inv(classical_fisher(t, povm, 2))
     diag = {"analytic_single_copy_mse": exact, "strategy": cfg.strategy}
-    return SimResult(
-        result.empirical_mse,
-        result.weighted_mse,
-        result.n_times_weighted_mse,
-        cfg.n * result.stderr,
-        diag,
-    )
+    return _result(cfg, trial_means, w2, diag)
 
 
-def _equatorial_axis_povm(axis):
-    proj = 0.5 * (SIGMA0 + SIGMA[axis])
-    return Povm([("+", proj), ("-", SIGMA0 - proj)])
-
-
-def _phase_stage_rough(t, m, rng):
+def _phase_stage_rough(s, m, rng):
     """Phase estimate from m copies split between sigma1 and sigma2 PVMs.
 
-    Returns (theta3_hat, v33_hat, r_hat, resampled): the estimate, its
-    delta-method variance, the implied visibility estimate, and a flag for
-    a degenerate draw (both empirical means zero) that forced a redraw.
+    s is the Bloch vector of the measured state.  Returns (theta3_hat,
+    v33_hat, r_hat, resampled): the estimate, its delta-method variance,
+    the implied visibility estimate, and a flag for a degenerate draw (both
+    empirical means zero) that forced a redraw.
     """
-    s = bloch_from_theta(t)
     m1 = m // 2
     m2 = m - m1
     p1 = 0.5 * (1.0 + s[0])
@@ -176,26 +184,28 @@ def _phase_stage_rough(t, m, rng):
     return theta3_hat, max(v33_hat, 1e-12), math.sqrt(r2), resampled
 
 
-def _phase_stage(t, m, rng):
-    """Two-stage phase estimate from m copies.
+def _phase_stage(s, m, rng):
+    """Two-stage phase estimate from m copies of the state with Bloch vector s.
 
     A rough sigma1/sigma2 estimate on 40% of the copies is refined with a
     tangential equatorial PVM (maximal phase sensitivity) on the rest; the
     two are fused by inverse-variance weighting.  Near-efficient:
     m * var(theta3_hat) approaches g33 = 1/theta1^2.
 
-    Returns (theta3_hat, v33_hat, resampled).
+    Returns (theta3_hat, v33_hat, resampled, low_visibility): resampled
+    flags a rough draw that was redrawn; low_visibility flags a rough
+    visibility estimate below 0.05, for which the rough phase is returned
+    without refinement.
     """
     m_rough = max(m * 2 // 5, min(m, 8))
     m_fine = m - m_rough
-    rough, v_rough, r_hat, resampled = _phase_stage_rough(t, m_rough, rng)
-    if m_fine == 0 or r_hat < 0.05:
-        return rough, v_rough, True if r_hat < 0.05 else resampled
-    # tangential direction at the rough phase: probability (1 + t1 sin d)/2
-    # with d the remaining phase error
-    s = bloch_from_theta(t)
-    u = np.array([-math.sin(rough), math.cos(rough), 0.0])
-    p = 0.5 * (1.0 + float(u @ s))
+    rough, v_rough, r_hat, resampled = _phase_stage_rough(s, m_rough, rng)
+    low_visibility = r_hat < 0.05
+    if m_fine == 0 or low_visibility:
+        return rough, v_rough, resampled, low_visibility
+    # tangential axis (-sin, cos, 0) at the rough phase: probability
+    # (1 + t1 sin d)/2 with d the remaining phase error
+    p = 0.5 * (1.0 + math.cos(rough) * s[1] - math.sin(rough) * s[0])
     mean_t = 2.0 * rng.binomial(m_fine, min(max(p, 0.0), 1.0)) / m_fine - 1.0
     ratio = min(max(mean_t / r_hat, -1.0), 1.0)
     delta_hat = math.asin(ratio)
@@ -206,40 +216,46 @@ def _phase_stage(t, m, rng):
     w_fine = 1.0 / v_fine
     theta3_hat = rough + delta_hat * w_fine / (w_fine + w_rough)
     v33_hat = 1.0 / (w_fine + w_rough)
-    return theta3_hat, v33_hat, resampled
+    return theta3_hat, v33_hat, resampled, False
 
 
 def run_two_step(cfg):
     """Two-step strategy: spend floor(n^e) copies on the phase, then measure.
 
-    The estimator for the main stage is anchored at the true interest
-    parameters with the estimated phase.  Because the mis-aimed optimal
-    measurement reads off theta1 cos(dtheta3) instead of theta1, the raw
-    estimate carries an O(dtheta3^2) bias; the first component is debiased
-    by the factor 1 + v33_hat/2 using the phase stage's own variance
-    estimate, which removes the bias to first order in v33.
+    The optimal measurement and its estimator table are built once, at
+    (theta1, theta2, 0).  Each trial rotates the measurement's Bloch axes
+    by its estimated phase, which gives the optimal measurement at
+    (theta1, theta2, theta3_hat) up to the sign of each axis, and reads
+    the same table: the table does not depend on the phase.  Because the
+    mis-aimed optimal measurement reads off theta1 cos(dtheta3) instead of
+    theta1, the raw estimate carries an O(dtheta3^2) bias; the first
+    component is debiased by the factor 1 + v33_hat/2 using the phase
+    stage's own variance estimate, which removes the bias to first order
+    in v33.
     """
     t = cfg.theta_true
-    w2 = cfg.weight.matrix if cfg.weight.is_block else cfg.weight.full()[:2, :2]
+    w2 = _interest_weight(cfg.weight)
     m = int(cfg.n ** cfg.phase_fraction_exponent)
     n2 = cfg.n - m
     g33 = 1.0 / (t.theta1 * t.theta1)
+    s = bloch_from_theta(t)
+    anchor = ThetaParams(t.theta1, t.theta2, 0.0)
+    povm, plan = build_optimal_povm(anchor, w2)
+    est_matrix = build_optimal_estimator(anchor, w2, povm).estimate_matrix()
+    measurement = plan.measurement()
     trial_means = np.empty((cfg.trials, 2))
     theta3_errors = np.empty(cfg.trials)
-    flagged = 0
+    resampled = low_visibility = 0
     for trial in range(cfg.trials):
         rng = cfg.trial_rng(trial)
-        theta3_hat, v33_hat, resampled = _phase_stage(t, m, rng)
-        flagged += bool(resampled)
+        theta3_hat, v33_hat, redrawn, low = _phase_stage(s, m, rng)
+        resampled += redrawn
+        low_visibility += low
         theta3_errors[trial] = _wrap_angle(theta3_hat - t.theta3)
-        anchor = ThetaParams(t.theta1, t.theta2, theta3_hat)
-        povm, _ = build_optimal_povm(anchor, w2)
-        estimator = build_optimal_estimator(anchor, w2, povm)
-        counts = sample_outcomes(t, povm, n2, rng)
-        mean = counts @ estimator.estimate_matrix() / n2
+        counts = sample_outcomes(t, measurement.rotated(theta3_hat), n2, rng)
+        mean = counts @ est_matrix / n2
         mean[0] *= 1.0 + 0.5 * v33_hat
         trial_means[trial] = mean
-    result = mse_from_trials(trial_means, t.as_array(2), w2, n=cfg.n)
     v33_emp = float(np.mean(theta3_errors**2))
     gamma = v33_emp / (v33_emp - g33 / cfg.n) if v33_emp > g33 / cfg.n else math.inf
     diag = {
@@ -248,15 +264,10 @@ def run_two_step(cfg):
         "v33_empirical": v33_emp,
         "v33_times_m": v33_emp * m,
         "gamma": gamma,
-        "resampled_trials": flagged,
+        "resampled_trials": resampled,
+        "low_visibility_trials": low_visibility,
     }
-    return SimResult(
-        result.empirical_mse,
-        result.weighted_mse,
-        result.n_times_weighted_mse,
-        cfg.n * result.stderr,
-        diag,
-    )
+    return _result(cfg, trial_means, w2, diag)
 
 
 def _wrap_angle(delta):
@@ -264,13 +275,13 @@ def _wrap_angle(delta):
     return (delta + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _tomographic_povm():
-    elements = []
-    for i in range(3):
-        proj = 0.5 * (SIGMA0 + SIGMA[i])
-        elements.append((f"s{i + 1}+", proj / 3.0))
-        elements.append((f"s{i + 1}-", (SIGMA0 - proj) / 3.0))
-    return Povm(elements)
+# sigma1, sigma2 and sigma3 PVMs, each measured on a third of the copies:
+# axes +e1, -e1, +e2, -e2, +e3, -e3
+TOMOGRAPHIC = BlochPovm(
+    ("s1+", "s1-", "s2+", "s2-", "s3+", "s3-"),
+    np.full(6, 1.0 / 3.0),
+    np.kron(np.eye(3), [[1.0], [-1.0]]),
+)
 
 
 def _project_theta(vec):
@@ -283,26 +294,27 @@ def _project_theta(vec):
     return ThetaParams(t1, t2, t3)
 
 
-def _mle_update(batches, start, steps=20):
-    """Fisher-scoring MLE over accumulated (povm, counts) batches.
+def _mle_update(stack, start, steps=20):
+    """Fisher-scoring MLE over the stacked outcomes of all batches so far.
 
-    Returns (ThetaParams, converged).  Non-convergence is reported, not
-    raised; the caller keeps the previous estimate.
+    Each row of stack is (a_x, w_x, count_x, batch total) for one outcome
+    of a batch measured with elements w_x (I + a_x . sigma)/2.  Returns
+    (ThetaParams, converged).  Non-convergence is reported, not raised; the
+    caller keeps the previous estimate.
     """
+    axes, weights, counts, totals = stack[:, :3], stack[:, 3], stack[:, 4], stack[:, 5]
     theta = start
     converged = False
     for _ in range(steps):
         s = bloch_from_theta(theta)
         derivs = np.array(bloch_derivatives(theta, 3))
-        grad = np.zeros(3)
-        hess = np.zeros((3, 3))
-        for povm_vectors, povm_weights, counts in batches:
-            # p_x = w_x (1 + <n_x, s>) for elements w_x (I + n_x.sigma)/2
-            p = povm_weights * (1.0 + povm_vectors @ s)
-            dp = povm_weights[:, None] * (povm_vectors @ derivs.T)
-            mask = p > 1e-12
-            grad += (counts[mask] / p[mask]) @ dp[mask]
-            hess += np.sum(counts) * (dp[mask].T / p[mask]) @ dp[mask]
+        p = 0.5 * weights * (1.0 + axes @ s)
+        dp = 0.5 * weights[:, None] * (axes @ derivs.T)
+        keep = p > 1e-12
+        p, dp = p[keep], dp[keep]
+        grad = (counts[keep] / p) @ dp
+        # expected information of each batch: its total times sum dp dp^T / p
+        hess = (dp.T * (totals[keep] / p)) @ dp
         try:
             step = np.linalg.solve(hess + 1e-9 * np.eye(3), grad)
         except np.linalg.LinAlgError:
@@ -316,21 +328,6 @@ def _mle_update(batches, start, steps=20):
     return theta, converged
 
 
-def _povm_bloch_form(povm):
-    """Decompose elements as w (I + n.sigma)/2; returns (vectors, weights)."""
-    vectors, weights = [], []
-    for _, element in povm:
-        w = float(np.trace(element).real)
-        if w < 1e-15:
-            vectors.append(np.zeros(3))
-            weights.append(0.0)
-            continue
-        vec = np.array([np.trace(element @ SIGMA[i]).real for i in range(3)]) / w
-        vectors.append(vec)
-        weights.append(w / 2.0)
-    return np.array(vectors), np.array(weights)
-
-
 def run_adaptive(cfg):
     """Batched adaptive strategy with maximum-likelihood re-estimation.
 
@@ -339,47 +336,37 @@ def run_adaptive(cfg):
     interest-parameter estimate comes from the last MLE.
     """
     t = cfg.theta_true
-    w2 = cfg.weight.matrix if cfg.weight.is_block else cfg.weight.full()[:2, :2]
+    w2 = _interest_weight(cfg.weight)
     batch = cfg.batch_size
     n_batches = max(cfg.n // batch, 1)
-    tomographic = _tomographic_povm()
-    tomo_form = _povm_bloch_form(tomographic)
     trial_means = np.empty((cfg.trials, 2))
     nonconverged = 0
     for trial in range(cfg.trials):
         rng = cfg.trial_rng(trial)
-        batches = []
+        rows = []
         theta_hat = None
-        for b in range(n_batches):
+        for _ in range(n_batches):
             if theta_hat is None:
-                povm, form = tomographic, tomo_form
+                measurement = TOMOGRAPHIC
             else:
-                povm, _ = build_optimal_povm(theta_hat, w2)
-                form = _povm_bloch_form(povm)
-            counts = sample_outcomes(t, povm, batch, rng)
-            batches.append((form[0], form[1], counts))
-            start = theta_hat if theta_hat is not None else _initial_guess(batches)
-            new_hat, ok = _mle_update(batches, start)
+                measurement = optimal_povm_plan(theta_hat, w2).measurement()
+            counts = sample_outcomes(t, measurement, batch, rng)
+            rows.append(np.column_stack((
+                measurement.axes, measurement.weights, counts, np.full(len(counts), batch)
+            )))
+            start = theta_hat if theta_hat is not None else _initial_guess(counts)
+            new_hat, ok = _mle_update(np.vstack(rows), start)
             if ok or theta_hat is None:
                 theta_hat = new_hat
             else:
                 nonconverged += 1
         trial_means[trial] = theta_hat.as_array(2)
-    result = mse_from_trials(trial_means, t.as_array(2), w2, n=cfg.n)
     diag = {"strategy": cfg.strategy, "nonconverged_batches": nonconverged}
-    return SimResult(
-        result.empirical_mse,
-        result.weighted_mse,
-        result.n_times_weighted_mse,
-        cfg.n * result.stderr,
-        diag,
-    )
+    return _result(cfg, trial_means, w2, diag)
 
 
-def _initial_guess(batches):
+def _initial_guess(counts):
     """Moment estimate of the Bloch vector from tomographic counts."""
-    vectors, weights, counts = batches[0]
-    total = np.sum(counts)
     s = np.zeros(3)
     for axis in range(3):
         plus, minus = counts[2 * axis], counts[2 * axis + 1]

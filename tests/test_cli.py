@@ -185,6 +185,35 @@ def test_sweep_skips_singularity():
     assert "skipped 3" in err
 
 
+def test_sweep_skips_points_outside_bloch_ball():
+    code, out, err = run_cli(
+        [
+            "sweep", "--theta", "0.5,0,0", "--axis", "theta2",
+            "--min", "0", "--max", "0.95", "--steps", "5",
+        ]
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [float(r[0]) for r in rows[1:]] == pytest.approx([0.0, 0.2375, 0.475, 0.7125])
+    assert "skipped 1 grid points outside the Bloch ball" in err
+
+
+@pytest.mark.parametrize(
+    "theta, weight, message",
+    [("0.5,0,0", "1,2,3", "weight"), ("0.5,0,nan", "identity", "finite")],
+)
+def test_sweep_error_prints_no_rows(theta, weight, message):
+    code, out, err = run_cli(
+        [
+            "sweep", "--theta", theta, "--axis", "theta1",
+            "--min", "0.1", "--max", "0.9", "--steps", "3", "--weight", weight,
+        ]
+    )
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
 def test_sweep_single_point_matches_bounds():
     _, sweep_out, _ = run_cli(
         [

@@ -133,6 +133,40 @@ def test_degenerate_weight_gives_half_half():
     )
 
 
+def test_rotation_covariance():
+    # The optimal measurement at phase phi is the one at phase 0 rotated by
+    # phi about z, up to the sign of each axis; a flipped axis swaps the
+    # labels "i+" and "i-" of the estimator table and of the outcome
+    # probabilities, which are otherwise unchanged.
+    rng = np.random.default_rng(34)
+    for t, w in random_cases(40, 34):
+        phi = rng.uniform(0.0, 2.0 * np.pi)
+        at_phi = ThetaParams(t.theta1, t.theta2, phi)
+        at_zero = ThetaParams(t.theta1, t.theta2, 0.0)
+        povm_phi, plan_phi = build_optimal_povm(at_phi, w)
+        povm_zero, plan_zero = build_optimal_povm(at_zero, w)
+        rotated = plan_zero.measurement().rotated(phi)
+        signs = np.sign(np.sum(plan_phi.directions * rotated.axes[0::2], axis=1))
+        assert np.max(np.abs(plan_phi.directions - signs[:, None] * rotated.axes[0::2])) < 1e-12
+        assert np.max(np.abs(plan_phi.probabilities - plan_zero.probabilities)) < 1e-12
+        # label of the rotated measurement that matches each rebuilt label
+        swap = {"+": "-", "-": "+"}
+        match = {
+            f"{i + 1}{sign}": f"{i + 1}{sign if flip > 0 else swap[sign]}"
+            for i, flip in enumerate(signs)
+            for sign in "+-"
+        }
+        table_phi = build_optimal_estimator(at_phi, w, povm_phi).estimates
+        table_zero = build_optimal_estimator(at_zero, w, povm_zero).estimates
+        for label, estimate in table_phi.items():
+            assert np.max(np.abs(estimate - table_zero[match[label]])) < 1e-12
+        # two-step: the rotated measurement on the true state
+        p_rebuilt = dict(zip(povm_phi.labels, povm_phi.probabilities(t)))
+        p_rotated = dict(zip(rotated.labels, rotated.probabilities(t)))
+        for label, p in p_rebuilt.items():
+            assert abs(p - p_rotated[match[label]]) < 1e-12
+
+
 def test_estimator_locally_unbiased():
     for t, w in random_cases(25, 33):
         povm, _ = build_optimal_povm(t, w)

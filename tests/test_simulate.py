@@ -5,10 +5,14 @@ import pytest
 
 from qest.bounds import WeightSpec, nagaoka_bound
 from qest.fisher import classical_fisher
-from qest.model import SIGMA0, ThetaParams
-from qest.povm import Povm, build_optimal_povm
+from qest.model import SIGMA0, ThetaParams, bloch_derivatives, bloch_from_theta
+from qest.povm import Povm, build_optimal_povm, optimal_povm_plan
 from qest.simulate import (
+    TOMOGRAPHIC,
     SimConfig,
+    _initial_guess,
+    _mle_update,
+    _project_theta,
     mse_from_trials,
     run,
     run_single_copy_optimal,
@@ -72,18 +76,22 @@ def test_determinism_bit_identical():
 
 
 def test_trials_order_independent_streams():
-    # Per-trial RNG streams depend only on (seed, trial index), so adding
-    # trials never changes earlier trials' outcomes: the 100-trial run's
-    # estimate sequence prefixes the 200-trial run's.
-    small = SimConfig(T, W, "single-copy-optimal", n=50, trials=100, seed=9)
-    large = SimConfig(T, W, "single-copy-optimal", n=50, trials=200, seed=9)
-    # Reconstruct per-trial weighted errors indirectly via MSE identity:
-    # mean of first 100 in the large run equals the small run's MSE.
-    res_small = run(small)
-    res_large = run(large)
-    # Not bit-identical (different trial counts) but consistent within the
-    # exact prefix property checked through the diagnostics sum.
-    assert res_small.diagnostics["strategy"] == res_large.diagnostics["strategy"]
+    # Per-trial RNG streams depend only on (seed, trial index), so adding a
+    # trial never changes the earlier ones: (k+1) V_{k+1} - k V_k is the new
+    # trial's e e^T, a rank-1 PSD matrix.
+    for strategy, n in (("single-copy-optimal", 50), ("two-step", 1000), ("adaptive", 300)):
+        sums = [
+            trials * run(
+                SimConfig(T, W, strategy, n=n, trials=trials, seed=9,
+                          phase_fraction_exponent=2.0 / 3.0, batch_size=100)
+            ).empirical_mse
+            for trials in range(2, 7)
+        ]
+        for before, after in zip(sums, sums[1:]):
+            increment = after - before
+            scale = np.trace(increment)
+            assert scale > 0.0, strategy
+            assert abs(np.linalg.det(increment)) < 1e-9 * scale * scale, strategy
 
 
 def test_single_copy_converges_to_inverse_fisher():
@@ -132,6 +140,24 @@ def test_two_step_phase_estimate_consistent():
     assert res.diagnostics["v33_times_m"] > 0.1
 
 
+def test_two_step_counts_low_visibility_apart_from_redraws():
+    # At n = 1e5 the rough phase stage measures 430 and 431 copies: the odd
+    # half never averages to 0, so no draw is ever redrawn, while at
+    # theta1 = 0.005 the rough visibility estimate often falls below 0.05.
+    low = ThetaParams(0.005, 0.0, 0.3)
+    res = run_two_step(
+        SimConfig(low, W, "two-step", n=100000, trials=40, seed=3,
+                  phase_fraction_exponent=2.0 / 3.0)
+    )
+    assert res.diagnostics["low_visibility_trials"] > 0
+    assert res.diagnostics["resampled_trials"] == 0
+    # n = 64: a 4 + 4 copy rough stage, where both means are 0 about one
+    # draw in seven and are redrawn; a redrawn visibility is at least 0.5.
+    res = run_two_step(SimConfig(low, W, "two-step", n=64, trials=40, seed=3))
+    assert res.diagnostics["resampled_trials"] > 0
+    assert res.diagnostics["low_visibility_trials"] == 0
+
+
 def test_two_step_approaches_known_phase_bound():
     cfg = SimConfig(
         T, W, "two-step", n=100000, trials=400, seed=7,
@@ -141,6 +167,47 @@ def test_two_step_approaches_known_phase_bound():
     target = nagaoka_bound(T, W.matrix)
     assert res.n_times_weighted_mse < 1.10 * target
     assert res.n_times_weighted_mse > 0.90 * target
+
+
+def _mle_update_per_batch(batches, start, steps=20):
+    """Reference: the Fisher-scoring MLE as a loop over (measurement, counts)."""
+    theta = start
+    for _ in range(steps):
+        s = bloch_from_theta(theta)
+        derivs = np.array(bloch_derivatives(theta, 3))
+        grad = np.zeros(3)
+        hess = np.zeros((3, 3))
+        for measurement, counts in batches:
+            p = 0.5 * measurement.weights * (1.0 + measurement.axes @ s)
+            dp = 0.5 * measurement.weights[:, None] * (measurement.axes @ derivs.T)
+            for x in range(len(p)):
+                if p[x] > 1e-12:
+                    grad += counts[x] / p[x] * dp[x]
+                    hess += np.sum(counts) * np.outer(dp[x], dp[x]) / p[x]
+        new = _project_theta(theta.as_array(3) + np.linalg.solve(hess + 1e-9 * np.eye(3), grad))
+        shift = np.max(np.abs(new.as_array(3) - theta.as_array(3)))
+        theta = new
+        if shift < 1e-9:
+            return theta, True
+    return theta, False
+
+
+def test_stacked_mle_matches_per_batch_loop():
+    rng = np.random.default_rng(21)
+    measurements = [TOMOGRAPHIC] + [
+        optimal_povm_plan(ThetaParams(0.5, 0.1, phase), np.diag([1.0, 3.0])).measurement()
+        for phase in (0.1, 0.5, 0.3)
+    ]
+    batches = [(m, rng.multinomial(100, m.probabilities(T))) for m in measurements]
+    stack = np.vstack(
+        [np.column_stack((m.axes, m.weights, c, np.full(len(c), 100))) for m, c in batches]
+    )
+    start = _initial_guess(batches[0][1])
+    got, converged = _mle_update(stack, start)
+    want, want_converged = _mle_update_per_batch(batches, start)
+    assert converged and want_converged
+    # summation order differs, so agreement is to round-off, not bit for bit
+    assert np.max(np.abs(got.as_array(3) - want.as_array(3))) < 1e-12
 
 
 def test_adaptive_runs_and_is_sane():

@@ -89,7 +89,8 @@ def _weight_spec(args, k):
 def _add_theta(parser):
     parser.add_argument(
         "--theta", required=True, metavar="T1,T2,T3",
-        help="model point, comma-separated decimals, phase in radians",
+        help="model point, comma-separated decimals, phase in radians; "
+             "write a negative theta1 as --theta=-0.6,0,0.3",
     )
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "sld_fisher_inverse",
     "rld_fisher",
     "rld_fisher_inverse",
+    "bloch_outcome_gradients",
     "outcome_gradients",
     "classical_fisher",
     "effective_fisher",
@@ -165,16 +166,23 @@ def rld_fisher_inverse(t, k=3):
     return out
 
 
+def bloch_outcome_gradients(weights, axes, s, derivs):
+    """Probabilities and gradients of the elements w_x (I + a_x . sigma)/2.
+
+    With A the (m, 3) rows a_x and D the (k, 3) rows d_i s, returns
+    p = w (1 + A s)/2 of shape (m,) and dp = (w/2) A D^T of shape (m, k).
+    """
+    half = 0.5 * weights
+    return half * (1.0 + axes @ s), half[:, None] * (axes @ derivs.T)
+
+
 def outcome_gradients(t, povm, k=3):
     """Outcome probabilities Tr(rho Pi_x) and gradients Tr(d_i rho Pi_x).
 
     Returns (p, dp) of shapes (m,) and (m, k), in the POVM's element order.
     """
-    rho = state_from_theta(t)
-    drhos = state_derivatives(t, k)
-    p = np.array([np.trace(rho @ m).real for _, m in povm])
-    dp = np.array([[np.trace(d @ m).real for d in drhos] for _, m in povm])
-    return p, dp
+    derivs = np.array(bloch_derivatives(t, k))
+    return bloch_outcome_gradients(povm.weights, povm.axes, bloch_from_theta(t), derivs)
 
 
 def classical_fisher(t, povm, k=3):
@@ -185,17 +193,16 @@ def classical_fisher(t, povm, k=3):
     nothing when their gradient also vanishes, and raise otherwise.
     """
     p, dp = outcome_gradients(t, povm, k)
-    j = np.zeros((k, k))
-    for (label, _), px, grad in zip(povm, p, dp):
-        if px < 1e-14:
-            if np.max(np.abs(grad)) > 1e-12:
-                raise SingularModelError(
-                    f"outcome {label!r} has zero probability but gradient "
-                    f"{np.max(np.abs(grad)):.3e}"
-                )
-            continue
-        j += np.outer(grad, grad) / px
-    return j
+    null = p < 1e-14
+    steepness = np.max(np.abs(dp), axis=1)
+    bad = np.flatnonzero(null & (steepness > 1e-12))
+    if bad.size:
+        raise SingularModelError(
+            f"outcome {povm.labels[bad[0]]!r} has zero probability but gradient "
+            f"{steepness[bad[0]]:.3e}"
+        )
+    keep = ~null
+    return (dp[keep].T / p[keep]) @ dp[keep]
 
 
 def effective_fisher(j):

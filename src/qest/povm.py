@@ -1,4 +1,10 @@
-"""POVMs, the HGM-attaining measurement, and locally unbiased estimators."""
+"""Qubit POVMs in Bloch form, the HGM-attaining measurement, and estimators.
+
+Every qubit POVM element is w (I + a . sigma)/2, so a POVM is its labels,
+weights w (the element traces, summing to 2) and axes a.  Probabilities
+and their gradients follow from these without 2x2 matrices; the matrix
+view exists only for iteration and JSON.
+"""
 
 import csv
 import json
@@ -8,17 +14,10 @@ import numpy as np
 
 from .bounds import WeightSpec, hgm_bound
 from .fisher import classical_fisher, outcome_gradients, sld_fisher
-from .model import (
-    SIGMA,
-    SIGMA0,
-    ThetaParams,
-    bloch_from_theta,
-    state_from_theta,
-)
+from .model import SIGMA, SIGMA0, ThetaParams, bloch_from_theta
 
 __all__ = [
     "Povm",
-    "BlochPovm",
     "OptimalPovmPlan",
     "QuantumEstimator",
     "RankDeficientMeasurementError",
@@ -37,53 +36,93 @@ class RankDeficientMeasurementError(ValueError):
     """The measurement's classical Fisher matrix is singular."""
 
 
-def _clip_probabilities(p):
-    """p clipped at 0; raises if an entry is below -1e-12 (not round-off)."""
-    if np.min(p) < -1e-12:
-        raise ValueError(f"negative outcome probability {np.min(p):.3e}")
-    return np.clip(p, 0.0, None)
+def _validate(labels, weights, coeffs):
+    """Raise unless the elements (w I + b . sigma)/2 form a POVM.
+
+    coeffs holds the rows b = w a.  The eigenvalues of an element are
+    (w +/- |b|)/2, and the elements sum to the identity iff the weights sum
+    to 2 and the b sum to 0.
+    """
+    low = 0.5 * (weights - np.linalg.norm(coeffs, axis=1))
+    bad = np.flatnonzero(low < -PSD_TOL)
+    if bad.size:
+        raise ValueError(f"element {labels[bad[0]]!r} is not PSD")
+    if (
+        abs(np.sum(weights) - 2.0) > COMPLETENESS_TOL
+        or np.max(np.abs(np.sum(coeffs, axis=0))) > COMPLETENESS_TOL
+    ):
+        raise ValueError("POVM elements do not sum to the identity")
 
 
 class Povm:
-    """A finite labeled POVM on C^2.
+    """A finite labeled POVM on C^2 in Bloch form.
 
-    Elements are (label, 2x2 Hermitian PSD matrix) pairs summing to the
-    identity.  Immutable after construction.
+    Element x is weights[x] (I + axes[x] . sigma)/2: axes[x] is a unit
+    vector for a projective element and 0 for a zero element.  Built from
+    (label, 2x2 Hermitian PSD matrix) pairs summing to the identity, or
+    with `from_bloch`; both run the same checks.  Iterating yields the
+    (label, matrix) pairs.
     """
 
     def __init__(self, elements):
-        checked = []
-        total = np.zeros((2, 2), dtype=complex)
+        labels, mats = [], []
         for label, m in elements:
             m = np.asarray(m, dtype=complex)
             if m.shape != (2, 2):
                 raise ValueError(f"element {label!r} is not 2x2")
             if not np.allclose(m, m.conj().T, atol=1e-12, rtol=0.0):
                 raise ValueError(f"element {label!r} is not Hermitian")
-            if np.min(np.linalg.eigvalsh(m)) < -PSD_TOL:
-                raise ValueError(f"element {label!r} is not PSD")
-            checked.append((str(label), m))
-            total += m
-        if not np.allclose(total, SIGMA0, atol=COMPLETENESS_TOL, rtol=0.0):
-            raise ValueError("POVM elements do not sum to the identity")
-        self._elements = tuple(checked)
+            labels.append(str(label))
+            mats.append(m)
+        mats = np.array(mats).reshape(-1, 2, 2)
+        # M = (w I + b . sigma)/2 with w = tr M and b_k = tr(M sigma_k)
+        weights = np.trace(mats, axis1=1, axis2=2).real
+        coeffs = np.einsum("xij,kji->xk", mats, SIGMA).real
+        _validate(labels, weights, coeffs)
+        self.labels, self.weights = tuple(labels), weights
+        self.axes = coeffs / np.where(weights > 0.0, weights, np.inf)[:, None]
+
+    @classmethod
+    def from_bloch(cls, labels, weights, axes):
+        """The POVM with elements weights[x] (I + axes[x] . sigma)/2."""
+        labels = [str(label) for label in labels]
+        weights = np.array(weights, dtype=float)
+        axes = np.array(axes, dtype=float).reshape(-1, 3)
+        _validate(labels, weights, weights[:, None] * axes)
+        return cls._unchecked(labels, weights, axes)
+
+    @classmethod
+    def _unchecked(cls, labels, weights, axes):
+        povm = cls.__new__(cls)
+        povm.labels, povm.weights, povm.axes = tuple(labels), weights, axes
+        return povm
 
     def __iter__(self):
-        return iter(self._elements)
+        coeffs = np.tensordot(self.weights[:, None] * self.axes, SIGMA, axes=1)
+        return zip(self.labels, 0.5 * (self.weights[:, None, None] * SIGMA0 + coeffs))
 
     def __len__(self):
-        return len(self._elements)
-
-    @property
-    def labels(self):
-        return [label for label, _ in self._elements]
+        return len(self.labels)
 
     def probabilities(self, t):
-        """Born-rule outcome probabilities at the model point t."""
-        rho = state_from_theta(t)
-        return _clip_probabilities(
-            np.array([np.trace(rho @ m).real for _, m in self._elements])
-        )
+        """Born-rule outcome probabilities w_x (1 + a_x . s)/2 at the model point t.
+
+        Raises if one is below -1e-12 (not round-off); clips the rest at 0.
+        """
+        p = 0.5 * self.weights * (1.0 + self.axes @ bloch_from_theta(t))
+        if np.min(p) < -1e-12:
+            raise ValueError(f"negative outcome probability {np.min(p):.3e}")
+        return np.clip(p, 0.0, None)
+
+    def rotated(self, phi):
+        """The same POVM rotated about the z axis by the angle phi.
+
+        A rotation keeps the weights and the axis norms, so the result is
+        not checked again.
+        """
+        c, s = np.cos(phi), np.sin(phi)
+        rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        return Povm._unchecked(self.labels, self.weights, self.axes @ rotation.T)
 
     def to_json(self):
         """JSON text: list of {label, matrix: [[re, im] x 4]} (row-major)."""
@@ -92,7 +131,7 @@ class Povm:
                 "label": label,
                 "matrix": [[float(v.real), float(v.imag)] for v in m.ravel()],
             }
-            for label, m in self._elements
+            for label, m in self
         ]
         return json.dumps(payload)
 
@@ -107,38 +146,6 @@ class Povm:
 
 
 @dataclass(frozen=True)
-class BlochPovm:
-    """A qubit POVM in Bloch form: elements w_x (I + a_x . sigma)/2.
-
-    The outcome probabilities at Bloch vector s are w_x (1 + a_x . s)/2.
-    The model is covariant under rotation about z, so the measurement that
-    is optimal at phase phi is the one at phase 0 rotated by phi.
-    """
-
-    labels: tuple
-    weights: np.ndarray  # (m,), the traces of the elements
-    axes: np.ndarray  # (m, 3) Bloch vectors, unit for projective elements
-
-    def probabilities(self, t):
-        """Born-rule outcome probabilities at the model point t."""
-        s = bloch_from_theta(t)
-        return _clip_probabilities(0.5 * self.weights * (1.0 + self.axes @ s))
-
-    def rotated(self, phi):
-        """The same POVM rotated about the z axis by the angle phi."""
-        c, s = np.cos(phi), np.sin(phi)
-        rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        return BlochPovm(self.labels, self.weights, self.axes @ rotation.T)
-
-    def povm(self):
-        """The matrix view as a validated Povm."""
-        return Povm(
-            (label, 0.5 * w * (SIGMA0 + np.tensordot(a, SIGMA, axes=1)))
-            for label, w, a in zip(self.labels, self.weights, self.axes)
-        )
-
-
-@dataclass(frozen=True)
 class OptimalPovmPlan:
     """Measurement directions, mixture probabilities, and F eigenvalues."""
 
@@ -149,26 +156,9 @@ class OptimalPovmPlan:
     def measurement(self):
         """The 2k-element POVM p_i (I +/- n_i . sigma)/2, labels "i+", "i-"."""
         k = len(self.directions)
-        labels = tuple(f"{i}{sign}" for i in range(1, k + 1) for sign in "+-")
+        labels = [f"{i}{sign}" for i in range(1, k + 1) for sign in "+-"]
         axes = np.stack((self.directions, -self.directions), axis=1).reshape(-1, 3)
-        return BlochPovm(labels, np.repeat(self.probabilities, 2), axes)
-
-
-def _projector_direction(e, w, g, lam_other):
-    """Unit Bloch vector of the rank-1 projector E (W - lam_other G) E^T / norm.
-
-    The normalizer tr W - lam_other tr G is at least |lambda_1 - lambda_2|
-    in modulus, because W - lam_other G = G^(1/2) (F - lam_other) G^(1/2) has
-    rank 1 and the eigenvalues of G are at least 1; so it vanishes only in
-    the degenerate case, which the caller handles apart.
-    """
-    m = e @ ((w - lam_other * g) / (np.trace(w) - lam_other * np.trace(g))) @ e.T
-    vals, vecs = np.linalg.eigh(0.5 * (m + m.T))
-    if abs(vals[-2]) > 1e-9:
-        raise AssertionError(
-            f"projector is not rank-1 (second eigenvalue {vals[-2]:.3e})"
-        )
-    return vecs[:, -1]
+        return Povm.from_bloch(labels, np.repeat(self.probabilities, 2), axes)
 
 
 def optimal_povm_plan(t, w):
@@ -176,34 +166,34 @@ def optimal_povm_plan(t, w):
 
     The phase theta3 is taken from t (the known-phase construction).
     Two binary PVMs along directions n_i are mixed with probabilities
-    p_i = sqrt(lambda_i) / sum_j sqrt(lambda_j).
+    p_i = sqrt(lambda_i) / sum_j sqrt(lambda_j), with (lambda_i, u_i) the
+    eigenpairs of F = G^(-1/2) W G^(-1/2).  Since
+    W - lambda_j G = (lambda_i - lambda_j) G^(1/2) u_i u_i^T G^(1/2), the
+    directions are n_i = E G^(1/2) u_i / |G^(1/2) u_i|, where E maps
+    (theta1, theta2) directions to Bloch vectors; any orthonormal u_i
+    serve when F is a multiple of the identity.  For 2x2 G, G^(1/2) is
+    proportional to G + sqrt(det G) I.
     """
     if isinstance(w, WeightSpec):
         w = w.matrix
-    w = np.asarray(w, dtype=float)
-    _, lam, u = hgm_bound(t, 2, w)
+    _, lam, u = hgm_bound(t, 2, np.asarray(w, dtype=float))
     sqrt_lam = np.sqrt(np.clip(lam, 0.0, None))
+    g = sld_fisher(t, 2)
     c3, s3 = np.cos(t.theta3), np.sin(t.theta3)
     e = np.array([[c3, 0.0], [s3, 0.0], [0.0, 1.0]])
-    if lam[0] - lam[1] < 1e-10:
-        # degenerate spectrum: any orthogonal pair in the E plane is optimal
-        directions = (e @ u).T
-    else:
-        g = sld_fisher(t, 2)
-        directions = np.array(
-            [_projector_direction(e, w, g, lam[other]) for other in (1, 0)]
-        )
+    v = e @ (g + np.sqrt(np.linalg.det(g)) * np.eye(2)) @ u
+    directions = (v / np.linalg.norm(v, axis=0)).T
     return OptimalPovmPlan(directions, sqrt_lam / np.sum(sqrt_lam), lam)
 
 
 def build_optimal_povm(t, w):
     """Optimal 4-element POVM attaining the Nagaoka/HGM bound (k=2).
 
-    Returns (povm, plan): the matrix view of `plan.measurement()`, with
-    elements "i+", "i-" equal to p_i (I +/- n_i . sigma)/2, and the plan.
+    Returns (povm, plan): `plan.measurement()`, with elements "i+", "i-"
+    equal to p_i (I +/- n_i . sigma)/2, and the plan.
     """
     plan = optimal_povm_plan(t, w)
-    return plan.measurement().povm(), plan
+    return plan.measurement(), plan
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,17 @@ Three strategies are supported:
   in batches, with a maximum-likelihood re-estimate (and a re-targeted
   optimal POVM) after every batch.
 
-The model is covariant under rotation about z: the optimal measurement at
+Every measurement is a ``qest.povm.Povm`` in Bloch form.  The model is
+covariant under rotation about z: the optimal measurement at
 phase phi is the one at phase 0 rotated by phi, and its estimator table
 does not depend on phi.  So ``two-step`` builds the measurement and the
 table once per run, at (theta1, theta2, 0), and each trial only rotates the
-measurement's Bloch axes by its estimated phase.  ``adaptive`` takes each
-batch's measurement in Bloch form (weights, axes) and stacks the outcomes
-of all batches in one array, so a Fisher-scoring step is one vectorized
-pass over it.
+measurement's Bloch axes by its estimated phase.  ``adaptive`` stacks the
+Bloch form (weights, axes) and the counts of every batch in one array, so
+a Fisher-scoring step is one vectorized pass over it.
+
+The state depends on (theta1, theta3) only through theta1 exp(i theta3),
+so the MLE keeps its estimates on the theta1 > 0 branch.
 
 Trials draw from independent counter-based streams derived from
 (seed, trial index), so results are deterministic and order-independent.
@@ -30,14 +33,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bounds import WeightSpec
-from .fisher import classical_fisher
+from .fisher import bloch_outcome_gradients, classical_fisher
 from .model import ThetaParams, bloch_derivatives, bloch_from_theta
-from .povm import (
-    BlochPovm,
-    build_optimal_estimator,
-    build_optimal_povm,
-    optimal_povm_plan,
-)
+from .povm import Povm, build_optimal_estimator, build_optimal_povm, optimal_povm_plan
 
 __all__ = [
     "SimConfig",
@@ -94,10 +92,7 @@ class SimResult:
 
 
 def sample_outcomes(t, povm, n, rng):
-    """Multinomial outcome counts from n copies measured with the POVM.
-
-    povm is a Povm or a BlochPovm; both give their probabilities at t.
-    """
+    """Multinomial outcome counts from n copies measured with the Povm at t."""
     p = povm.probabilities(t)
     return rng.multinomial(n, p / np.sum(p))
 
@@ -240,9 +235,8 @@ def run_two_step(cfg):
     g33 = 1.0 / (t.theta1 * t.theta1)
     s = bloch_from_theta(t)
     anchor = ThetaParams(t.theta1, t.theta2, 0.0)
-    povm, plan = build_optimal_povm(anchor, w2)
-    est_matrix = build_optimal_estimator(anchor, w2, povm).estimate_matrix()
-    measurement = plan.measurement()
+    measurement, _ = build_optimal_povm(anchor, w2)
+    est_matrix = build_optimal_estimator(anchor, w2, measurement).estimate_matrix()
     trial_means = np.empty((cfg.trials, 2))
     theta3_errors = np.empty(cfg.trials)
     resampled = low_visibility = 0
@@ -277,7 +271,7 @@ def _wrap_angle(delta):
 
 # sigma1, sigma2 and sigma3 PVMs, each measured on a third of the copies:
 # axes +e1, -e1, +e2, -e2, +e3, -e3
-TOMOGRAPHIC = BlochPovm(
+TOMOGRAPHIC = Povm.from_bloch(
     ("s1+", "s1-", "s2+", "s2-", "s3+", "s3-"),
     np.full(6, 1.0 / 3.0),
     np.kron(np.eye(3), [[1.0], [-1.0]]),
@@ -285,13 +279,17 @@ TOMOGRAPHIC = BlochPovm(
 
 
 def _project_theta(vec):
+    """vec as a model point with theta1 > 0 and |r| <= 0.99.
+
+    A negative theta1 flips to (-theta1, theta2, theta3 + pi), the same state.
+    """
     t1, t2, t3 = vec
+    if t1 < 0.0:
+        t1, t3 = -t1, t3 + math.pi
     r = math.hypot(t1, t2)
     if r >= 0.99:
         t1, t2 = t1 * 0.99 / r, t2 * 0.99 / r
-    if abs(t1) < 1e-6:
-        t1 = 1e-6 if t1 >= 0 else -1e-6
-    return ThetaParams(t1, t2, t3)
+    return ThetaParams(max(t1, 1e-6), t2, t3)
 
 
 def _mle_update(stack, start, steps=20):
@@ -299,17 +297,18 @@ def _mle_update(stack, start, steps=20):
 
     Each row of stack is (a_x, w_x, count_x, batch total) for one outcome
     of a batch measured with elements w_x (I + a_x . sigma)/2.  Returns
-    (ThetaParams, converged).  Non-convergence is reported, not raised; the
-    caller keeps the previous estimate.
+    (ThetaParams, converged): the last iterate, also when it has not
+    converged.  Where the expected information falls short of the observed
+    one (near the edge of the Bloch ball), the steps overshoot and the
+    iterates can oscillate towards the maximum too slowly to converge in
+    `steps`; the last of them is still a fit to every batch.
     """
     axes, weights, counts, totals = stack[:, :3], stack[:, 3], stack[:, 4], stack[:, 5]
     theta = start
     converged = False
     for _ in range(steps):
-        s = bloch_from_theta(theta)
         derivs = np.array(bloch_derivatives(theta, 3))
-        p = 0.5 * weights * (1.0 + axes @ s)
-        dp = 0.5 * weights[:, None] * (axes @ derivs.T)
+        p, dp = bloch_outcome_gradients(weights, axes, bloch_from_theta(theta), derivs)
         keep = p > 1e-12
         p, dp = p[keep], dp[keep]
         grad = (counts[keep] / p) @ dp
@@ -355,11 +354,8 @@ def run_adaptive(cfg):
                 measurement.axes, measurement.weights, counts, np.full(len(counts), batch)
             )))
             start = theta_hat if theta_hat is not None else _initial_guess(counts)
-            new_hat, ok = _mle_update(np.vstack(rows), start)
-            if ok or theta_hat is None:
-                theta_hat = new_hat
-            else:
-                nonconverged += 1
+            theta_hat, ok = _mle_update(np.vstack(rows), start)
+            nonconverged += not ok
         trial_means[trial] = theta_hat.as_array(2)
     diag = {"strategy": cfg.strategy, "nonconverged_batches": nonconverged}
     return _result(cfg, trial_means, w2, diag)

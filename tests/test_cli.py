@@ -8,7 +8,9 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
+from qest.bounds import nagaoka_bound
 from qest.cli import main
+from qest.model import ThetaParams, bloch_derivatives, bloch_from_theta
 
 
 def run_cli(argv, env=None, monkeypatch=None):
@@ -95,6 +97,33 @@ def test_povm_json_and_estimates(tmp_path):
     assert lines[0] == "label,theta1_hat,theta2_hat"
     assert len(lines) == 5
 
+
+
+def test_povm_near_degenerate_weight():
+    # W within ~1e-9 of G at this point: F has a near-double eigenvalue.
+    weight = "1.378787879787879,0.22727272757272726,0.22727272757272726,1.1363636358636362"
+    code, out, err = run_cli(["povm", "--theta", "0.5,0.3,0.7", "--weight", weight])
+    assert code == 0
+    assert err == ""
+    assert len(out.splitlines()) == 1
+    plan = json.loads(out)["plan"]
+    t = ThetaParams(0.5, 0.3, 0.7)
+    w = np.array([float(v) for v in weight.split(",")]).reshape(2, 2)
+    # classical Fisher of the printed plan: binary PVMs along n_i
+    s = bloch_from_theta(t)
+    d = np.array(bloch_derivatives(t, 2))
+    j = sum(
+        p * np.outer(d @ n, d @ n) / (1.0 - (n @ s) ** 2)
+        for p, n in zip(plan["probabilities"], np.array(plan["directions"]))
+    )
+    # the plan is printed to 9 significant digits
+    assert np.trace(w @ np.linalg.inv(j)) == pytest.approx(nagaoka_bound(t, w), rel=1e-9)
+
+
+def test_negative_theta_needs_equals_form():
+    code, out, _ = run_cli(["bounds", "--theta=-0.6,0,0.3"])
+    assert code == 0
+    assert json.loads(out)["theta"][0] == pytest.approx(-0.6)
 
 def test_region_verdict(tmp_path):
     path = tmp_path / "cand.csv"

@@ -223,3 +223,24 @@ def test_phase_perturbed_fisher_second_order():
         residuals.append(np.max(np.abs(j - damp @ j0 @ damp)))
     slope = np.polyfit(np.log(deltas), np.log(residuals), 1)[0]
     assert slope >= 2.0 - 0.1
+
+
+
+@pytest.mark.parametrize(
+    "t, w",
+    [
+        # W = G + ~1e-9: the eigenvalues of F differ by 1.3e-9
+        (
+            ThetaParams(0.5, 0.3, 0.7),
+            [[1.378787879787879, 0.22727272757272726], [0.22727272757272726, 1.1363636358636362]],
+        ),
+        # W = cG with G not diagonal: F = cI, any orthonormal eigenbasis
+        (ThetaParams(0.5, 0.3, 0.7), 0.5 * sld_fisher(ThetaParams(0.5, 0.3, 0.7), 2)),
+        (ThetaParams(-0.4, -0.6, 2.0), 3.0 * sld_fisher(ThetaParams(-0.4, -0.6, 2.0), 2)),
+    ],
+)
+def test_weight_near_multiple_of_g_attains_nagaoka(t, w):
+    w = np.asarray(w)
+    povm, _ = build_optimal_povm(t, w)
+    j = classical_fisher(t, povm, 2)
+    assert np.trace(w @ np.linalg.inv(j)) == pytest.approx(nagaoka_bound(t, w), abs=1e-9)

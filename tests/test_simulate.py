@@ -7,6 +7,7 @@ from qest.bounds import WeightSpec, nagaoka_bound
 from qest.fisher import classical_fisher
 from qest.model import SIGMA0, ThetaParams, bloch_derivatives, bloch_from_theta
 from qest.povm import Povm, build_optimal_povm, optimal_povm_plan
+from qest import simulate
 from qest.simulate import (
     TOMOGRAPHIC,
     SimConfig,
@@ -238,3 +239,37 @@ def test_run_dispatch():
     cfg = SimConfig(T, W, "single-copy-optimal", n=20, trials=50, seed=1)
     res = run(cfg)
     assert res.diagnostics["strategy"] == "single-copy-optimal"
+
+
+def test_project_theta_flips_negative_theta1_to_the_same_state():
+    for vec in ((-0.3, 0.2, 1.0), (-1e-9, 0.5, 4.0), (-0.9, 0.5, 0.2)):
+        t = _project_theta(vec)
+        assert t.theta1 > 0.0
+        r = min(np.hypot(vec[0], vec[1]), 0.99)
+        raw = np.array([vec[0] * np.cos(vec[2]), vec[0] * np.sin(vec[2]), vec[1]])
+        raw *= r / np.hypot(vec[0], vec[1])
+        if abs(vec[0]) >= 1e-6:
+            assert np.allclose(bloch_from_theta(t), raw, atol=1e-15)
+    # the 1e-6 floor on theta1 is one-sided
+    assert _project_theta((1e-9, 0.0, 0.0)).theta1 == 1e-6
+    assert _project_theta((-1e-9, 0.0, 0.0)).theta1 == 1e-6
+
+
+def test_adaptive_mle_ends_on_the_true_branch():
+    # At low visibility the MLE path can cross theta1 = 0; an estimate left
+    # on the mirrored branch (-theta1, theta3 + pi) costs a squared error of
+    # 4 theta1^2 and inflated n MSE to about 6 times the bound.
+    t = ThetaParams(0.15, 0.3, 1.0)
+    res = run(SimConfig(t, W, "adaptive", n=1000, trials=100, seed=7))
+    assert res.n_times_weighted_mse <= 2.0 * nagaoka_bound(t, W.matrix)
+
+
+def test_adaptive_keeps_the_last_fit_when_it_does_not_converge(monkeypatch):
+    # A fit that has not converged is still a fit to every batch so far; the
+    # estimate must be the last one, not one from fewer batches.
+    fits = iter(ThetaParams(0.5 + 0.01 * i, 0.1, 0.3) for i in range(1, 7))
+    monkeypatch.setattr(simulate, "_mle_update", lambda stack, start: (next(fits), False))
+    res = run(SimConfig(T, W, "adaptive", n=300, trials=2, seed=0, batch_size=100))
+    errors = np.array([[0.53 - 0.6, 0.1], [0.56 - 0.6, 0.1]])
+    assert np.allclose(res.empirical_mse, errors.T @ errors / 2, atol=1e-15)
+    assert res.diagnostics["nonconverged_batches"] == 6

@@ -2,16 +2,15 @@
 
 Every bound is a function of the model point, the parameter count k,
 and a weight matrix.  For k=3 a block weight diag(W2, w3) unlocks the
-closed-form expressions; general 3x3 weights go through the fidelity /
-TrAbs routes.
+closed-form expressions; a general 3x3 weight enters the RLD bound through
+its TrAbs term.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .linalg import fidelity, psd_sqrt, trabs
+from .linalg import psd_sqrt, trabs
 from .model import bloch_derivatives, bloch_from_theta
 from .fisher import rld_fisher_inverse, sld_fisher_inverse
 
@@ -186,54 +185,54 @@ def holevo_bound_k3_block(t, w):
     )
 
 
-def holevo_bound_k2(t, w, grid_half_width=10.0, grid_points=9):
-    """Holevo bound for the known-phase model by direct minimization.
+def holevo_bound_k2(t, w):
+    """Holevo bound for the known-phase model, minimized exactly.
 
-    Each operator is represented by a Bloch vector x^i subject to the two
-    linear constraints <x^i, d_j s> = delta_ij, leaving one free scalar per
-    operator along the common normal direction.  The objective
+    Each operator is a Bloch vector x^i with <x^i, d_j s> = delta_ij, so
+    x^i = p^i + a_i n: p^i the minimum-norm solution, n the unit normal to
+    d_1 s and d_2 s.  The objective
 
         h = sum w_ij (<x^i,x^j> - <x^i,s><s,x^j>) + 2 sqrt(det W) |<x^1 x x^2, s>|
 
-    is piecewise-quadratic convex in the two free scalars; a coarse grid
-    plus a Nelder-Mead polish handles the |.| kink.  Analytically the
-    minimum equals Tr(W G^{-1}) for this model, which the tests assert.
+    is q(a) + kappa |l(a)|.  Since s = t1 d_1 s + t2 d_2 s is normal to n,
+    q(a) = q(0) + a^T W a; l(a) = l(0) + m^T a is affine because n x n = 0.
+    So the minimizer is the stationary point of q + kappa l or of
+    q - kappa l, or, where l vanishes, the minimizer of q on the line l = 0.
+    h is evaluated at these three closed-form points (the third skipped
+    when l is constant) and the smallest value is returned.  Analytically
+    it equals Tr(W G^{-1}), which the tests assert; G is not used here.
 
     Returns (value, (x1, x2)).
     """
-    w = _weight(w, 2)
-    wm = w.matrix
-    sqdetw = np.sqrt(np.linalg.det(wm))
+    wm = _weight(w, 2).matrix
+    kappa = 2.0 * np.sqrt(np.linalg.det(wm))
     s = bloch_from_theta(t)
-    d1, d2 = bloch_derivatives(t, 2)
-    dmat = np.vstack([d1, d2])
-    x_part = np.linalg.pinv(dmat)  # columns: particular solutions for e1, e2
-    normal = np.cross(d1, d2)
+    d = np.array(bloch_derivatives(t, 2))
+    base = d.T @ np.linalg.inv(d @ d.T)  # columns: p^1, p^2
+    normal = _skew(d[0]) @ d[1]
     normal = normal / np.linalg.norm(normal)
+    cross_s = _skew(s)  # <a x b, s> = b @ cross_s @ a
 
-    def objective(free):
-        x = [x_part[:, i] + free[i] * normal for i in range(2)]
-        gram = np.array([[xi @ xj - (xi @ s) * (s @ xj) for xj in x] for xi in x])
-        return float(
-            np.sum(wm * gram) + 2.0 * sqdetw * abs(np.cross(x[0], x[1]) @ s)
-        )
+    def objective(a):
+        x = base + np.outer(normal, a)
+        xs = x.T @ s
+        gram = x.T @ x - np.outer(xs, xs)
+        return float(np.sum(wm * gram) + kappa * abs(x[:, 1] @ cross_s @ x[:, 0]))
 
-    grid = np.linspace(-grid_half_width, grid_half_width, grid_points)
-    best, best_val = None, np.inf
-    for a in grid:
-        for b in grid:
-            v = objective((a, b))
-            if v < best_val:
-                best, best_val = (a, b), v
-    res = minimize(
-        objective,
-        best,
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
-    )
-    free = res.x if res.fun <= best_val else np.array(best)
-    x_opt = tuple(x_part[:, i] + free[i] * normal for i in range(2))
-    return float(min(res.fun, best_val)), x_opt
+    # grad q = 2 W a and grad l = m: every candidate is a multiple of W^{-1} m
+    m = np.array([base[:, 1] @ cross_s @ normal, normal @ cross_s @ base[:, 0]])
+    direction = np.linalg.solve(wm, m)
+    scales = [-0.5 * kappa, 0.5 * kappa]
+    if m @ direction > 0.0:
+        scales.append(-(base[:, 1] @ cross_s @ base[:, 0]) / (m @ direction))
+    values = [objective(c * direction) for c in scales]
+    best = scales[int(np.argmin(values))] * direction
+    return min(values), tuple(base[:, i] + best[i] * normal for i in range(2))
+
+
+def _skew(v):
+    """The matrix of u -> v x u."""
+    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
 
 
 @dataclass(frozen=True)

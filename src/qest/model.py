@@ -7,7 +7,7 @@ with t1^2 + t2^2 < 1 and t1 != 0 (full rank, nonvanishing off-diagonal).
 The phase t3 is the nuisance parameter.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -7,7 +7,7 @@ within +-BOUNDARY_TOL of a strict boundary are classified as members and
 flagged as boundary cases.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

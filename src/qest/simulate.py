@@ -21,7 +21,8 @@ Bloch form (weights, axes) and the counts of every batch in one array, so
 a Fisher-scoring step is one vectorized pass over it.
 
 The state depends on (theta1, theta3) only through theta1 exp(i theta3),
-so the MLE keeps its estimates on the theta1 > 0 branch.
+so ``SimConfig`` moves a theta1 < 0 truth to the theta1 > 0 branch and the
+MLE keeps its estimates there.
 
 Trials draw from independent counter-based streams derived from
 (seed, trial index), so results are deterministic and order-independent.
@@ -53,6 +54,15 @@ STRATEGIES = ("single-copy-optimal", "two-step", "adaptive")
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One simulation run.
+
+    A truth with theta1 < 0 is stored in the chart theta1 > 0: as
+    (-theta1, theta2, theta3 + pi), the same state, with the weight S W S,
+    S = diag(-1, 1) or diag(-1, 1, 1) (a block weight keeps its w3).  An
+    error e in the given chart is S e in the stored one, so every weighted
+    MSE is unchanged; `SimResult.empirical_mse` is in the stored chart.
+    """
+
     theta_true: ThetaParams
     weight: WeightSpec
     strategy: str
@@ -63,6 +73,14 @@ class SimConfig:
     batch_size: int = 100
 
     def __post_init__(self):
+        t = self.theta_true
+        if t.theta1 < 0.0:
+            flip = np.ones(len(self.weight.matrix))
+            flip[0] = -1.0
+            weight = replace(self.weight, matrix=self.weight.matrix * np.outer(flip, flip))
+            mirrored = ThetaParams(-t.theta1, t.theta2, t.theta3 + math.pi)
+            object.__setattr__(self, "theta_true", mirrored)
+            object.__setattr__(self, "weight", weight)
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.n < 4:

@@ -3,11 +3,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qest
 from qest.bounds import nagaoka_bound
 from qest.cli import main
 from qest.model import ThetaParams, bloch_derivatives, bloch_from_theta
@@ -261,3 +266,25 @@ def test_bad_weight_is_reported():
     code, _, err = run_cli(["bounds", "--theta", "0.6,0,0.3", "--weight", "1,2,3"])
     assert code == 1
     assert "weight" in err
+
+
+def test_runs_without_scipy():
+    # sys.modules["scipy"] = None makes every scipy import raise ImportError.
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import qest\n"
+        "from qest.cli import main\n"
+        "qest.holevo_bound_k2(qest.ThetaParams(0.5, 0.3, 0.7), [[1.0, 0.2], [0.2, 2.0]])\n"
+        "sys.exit(main(['bounds', '--theta', '0.5,0.3,0.7']))\n"
+    )
+    src = str(Path(qest.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["holevo"] > 0.0
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert "scipy" not in pyproject.read_text().lower()

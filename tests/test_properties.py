@@ -5,8 +5,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qest.bounds import (
+    WeightSpec,
+    bound_report,
+    hgm_bound,
+    holevo_bound_k2,
+    holevo_bound_k3,
+    holevo_bound_k3_block,
+    nagaoka_bound,
+    rld_cr_bound,
+    sld_cr_bound,
+)
 from qest.fisher import outcome_gradients
-from qest.model import ThetaParams, state_derivatives, state_from_theta
+from qest.model import ThetaParams, bloch_derivatives, state_derivatives, state_from_theta
 from qest.povm import Povm, build_optimal_povm
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -78,3 +89,54 @@ def test_validation_rejects_non_psd_element(case, depth):
     elements["1-"] = elements["1-"] + depth * kernel
     with pytest.raises(ValueError, match="element '1\\+' is not PSD"):
         Povm(elements.items())
+
+
+def _ordered(lower, upper):
+    return lower <= upper + 1e-10 * (1.0 + abs(upper))
+
+
+@SETTINGS
+@given(cases())
+def test_holevo_k2_equals_sld_cr(case):
+    t, w, _ = case
+    value, xs = holevo_bound_k2(t, w)
+    assert value == pytest.approx(sld_cr_bound(t, 2, w), rel=1e-10)
+    # the minimizing operators satisfy <x^i, d_j s> = delta_ij
+    derivs = np.array(bloch_derivatives(t, 2))
+    assert np.max(np.abs(np.array(xs) @ derivs.T - np.eye(2))) < 1e-12
+
+
+@SETTINGS
+@given(cases(), st.floats(0.05, 5.0))
+def test_k3_block_ordering(case, w3):
+    t, w, _ = case
+    spec = WeightSpec.block(w, w3)
+    holevo = holevo_bound_k3(t, spec)
+    assert holevo == pytest.approx(rld_cr_bound(t, 3, spec), rel=1e-12)
+    assert holevo == pytest.approx(holevo_bound_k3_block(t, spec), rel=1e-10)
+    assert _ordered(sld_cr_bound(t, 3, spec), holevo)
+    assert _ordered(holevo, hgm_bound(t, 3, spec)[0])
+
+
+@SETTINGS
+@given(cases())
+def test_k2_sld_below_nagaoka(case):
+    t, w, _ = case
+    assert _ordered(sld_cr_bound(t, 2, w), nagaoka_bound(t, w))
+
+
+@SETTINGS
+@given(cases(), st.floats(0.05, 5.0))
+def test_bounds_are_chart_invariant(case, w3):
+    # (theta1, theta2, theta3) and (-theta1, theta2, theta3 + pi) are the same
+    # state; an error e in one chart is S e in the other, S = diag(-1, 1).
+    t, w, _ = case
+    mirror = ThetaParams(-t.theta1, t.theta2, t.theta3 + np.pi)
+    flip = np.diag([-1.0, 1.0])
+    for k, given_w, mirror_w in (
+        (2, WeightSpec(w), WeightSpec(flip @ w @ flip)),
+        (3, WeightSpec.block(w, w3), WeightSpec.block(flip @ w @ flip, w3)),
+    ):
+        a, b = bound_report(t, k, given_w), bound_report(mirror, k, mirror_w)
+        for name in ("sld_cr", "rld_cr", "nagaoka_hgm", "holevo"):
+            assert getattr(a, name) == pytest.approx(getattr(b, name), rel=1e-12)

@@ -273,3 +273,43 @@ def test_adaptive_keeps_the_last_fit_when_it_does_not_converge(monkeypatch):
     errors = np.array([[0.53 - 0.6, 0.1], [0.56 - 0.6, 0.1]])
     assert np.allclose(res.empirical_mse, errors.T @ errors / 2, atol=1e-15)
     assert res.diagnostics["nonconverged_batches"] == 6
+
+
+@pytest.mark.parametrize(
+    "strategy, n, trials",
+    [("single-copy-optimal", 2000, 100), ("two-step", 2000, 100), ("adaptive", 1000, 10)],
+)
+def test_negative_theta1_truth_runs_as_its_mirror(strategy, n, trials):
+    # (-theta1, theta2, theta3) is the state at (theta1, theta2, theta3 + pi),
+    # and an error e there is S e here, S = diag(-1, 1): the run at the
+    # mirror point with weight S W S must give the same n MSE.  A phase
+    # stage aimed at the given chart used to converge to theta3 + pi
+    # (two-step n MSE 2905 against 4.24 here).
+    w = np.array([[1.0, 0.4], [0.4, 2.0]])
+    flip = np.diag([-1.0, 1.0])
+    mirror = ThetaParams(0.6, 0.2, 0.3 + np.pi)
+    given, mirrored = (
+        run(SimConfig(t, WeightSpec(m), strategy, n, trials, seed=3,
+                      phase_fraction_exponent=2 / 3))
+        for t, m in ((ThetaParams(-0.6, 0.2, 0.3), w), (mirror, flip @ w @ flip))
+    )
+    assert given.n_times_weighted_mse == pytest.approx(
+        mirrored.n_times_weighted_mse, rel=1e-12
+    )
+    assert mirrored.n_times_weighted_mse < 2.0 * nagaoka_bound(mirror, flip @ w @ flip)
+
+
+def test_negative_theta1_truth_mirrors_every_weight_form():
+    t = ThetaParams(-0.6, 0.2, 0.3)
+    w2 = np.array([[1.0, 0.4], [0.4, 2.0]])
+    flip3 = np.diag([-1.0, 1.0, 1.0])
+    full = np.array([[1.0, 0.4, 0.3], [0.4, 2.0, -0.2], [0.3, -0.2, 1.5]])
+    for weight, expected in (
+        (WeightSpec(w2), flip3[:2, :2] @ w2 @ flip3[:2, :2]),
+        (WeightSpec.block(w2, 1.5), flip3 @ WeightSpec.block(w2, 1.5).full() @ flip3),
+        (WeightSpec(full), flip3 @ full @ flip3),
+    ):
+        cfg = SimConfig(t, weight, "two-step", n=100, trials=2)
+        assert cfg.theta_true == ThetaParams(0.6, 0.2, 0.3 + np.pi)
+        assert cfg.weight.is_block == weight.is_block
+        assert np.array_equal(cfg.weight.full(), expected)

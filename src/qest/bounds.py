@@ -3,14 +3,13 @@
 Every bound is a function of the model point, the parameter count k,
 and a weight matrix.  For k=3 a block weight diag(W2, w3) unlocks the
 closed-form expressions; a general 3x3 weight enters the RLD bound through
-its TrAbs term.
+its TrAbs term, which is closed-form too.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import psd_sqrt, trabs
 from .model import bloch_derivatives, bloch_from_theta
 from .fisher import rld_fisher_inverse, sld_fisher_inverse
 
@@ -35,7 +34,9 @@ class InfeasibleMseError(ValueError):
 
 def _check_pd(w, name="weight"):
     w = np.asarray(w, dtype=float)
-    if not np.allclose(w, w.T, atol=1e-12, rtol=0.0):
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"{name} matrix entries must be finite")
+    if np.max(np.abs(w - w.T)) > 1e-12:
         raise ValueError(f"{name} matrix must be symmetric")
     if np.min(np.linalg.eigvalsh(w)) <= 0:
         raise ValueError(f"{name} matrix must be positive definite")
@@ -60,8 +61,8 @@ class WeightSpec:
         if self.w3 is not None:
             if m.shape != (2, 2):
                 raise ValueError("block form requires a 2x2 interest weight")
-            if not self.w3 > 0:
-                raise ValueError("w3 must be positive")
+            if not 0.0 < self.w3 < np.inf:
+                raise ValueError("w3 must be positive and finite")
 
     @classmethod
     def identity(cls, k):
@@ -109,14 +110,18 @@ def sld_cr_bound(t, k, w):
 def rld_cr_bound(t, k, w):
     """RLD Cramer-Rao bound Tr(W Re Gt^{-1}) + TrAbs(W Im Gt^{-1}).
 
-    For k=2 the RLD inverse is real and the TrAbs term vanishes.
+    For k=2 the RLD inverse is real and the TrAbs term vanishes.  For k=3,
+    Im Gt^{-1} is the cross-product matrix [a]x, a = (-1, -t2/t1, 0).  W [a]x
+    is similar to W^(1/2) [a]x W^(1/2) = det(W^(1/2)) [W^(-1/2) a]x, whose
+    eigenvalues are 0 and +/- i sqrt(det W a^T W^{-1} a).
     """
     w = _weight(w, k)
     ginv = rld_fisher_inverse(t, k)
     wf = w.full()
     value = float(np.trace(wf @ ginv.real))
     if k == 3:
-        value += trabs(wf @ ginv.imag)
+        a = np.array([ginv[2, 1].imag, ginv[0, 2].imag, ginv[1, 0].imag])
+        value += 2.0 * np.sqrt(np.linalg.det(wf) * (a @ np.linalg.solve(wf, a)))
     return value
 
 
@@ -134,10 +139,16 @@ def hgm_bound(t, k, w):
     Returns (value, lambdas, u) where lambdas are the descending
     eigenvalues of F = sqrt(G^{-1}) W sqrt(G^{-1}) and u the orthogonal
     matrix diagonalizing it; the optimal-POVM construction reuses both.
+    The 2x2 block M of G^{-1} has det M = 1 - t1^2 - t2^2 = c^2 and
+    tr M = 1 + c^2, so sqrt(M) = (M + c I)/(1 + c); the phase entry of
+    sqrt(G^{-1}) is 1/|t1|.
     """
     w = _weight(w, k)
-    ginv = sld_fisher_inverse(t, k)
-    root = psd_sqrt(ginv)
+    root = sld_fisher_inverse(t, k)
+    c = np.sqrt(1.0 - t.theta1 * t.theta1 - t.theta2 * t.theta2)
+    root[:2, :2] = (root[:2, :2] + c * np.eye(2)) / (1.0 + c)
+    if k == 3:
+        root[2, 2] = 1.0 / abs(t.theta1)
     f = root @ w.full() @ root
     lam, u = np.linalg.eigh(0.5 * (f + f.T))
     order = np.argsort(lam)[::-1]
@@ -246,10 +257,9 @@ class BoundReport:
     k: int
     theta: tuple
     weight: WeightSpec
-    gamma: float | None = None
 
     def as_dict(self):
-        out = {
+        return {
             "sld_cr": self.sld_cr,
             "rld_cr": self.rld_cr,
             "nagaoka_hgm": self.nagaoka_hgm,
@@ -258,9 +268,6 @@ class BoundReport:
             "theta": list(self.theta),
             "weight": self.weight.full().tolist(),
         }
-        if self.gamma is not None:
-            out["gamma"] = self.gamma
-        return out
 
 
 def bound_report(t, k, w):

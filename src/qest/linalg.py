@@ -1,33 +1,28 @@
-"""Small-dimension matrix kernels shared by the rest of the library.
+"""Small-dimension symmetric-matrix kernels.
 
-Everything here works on plain 2x2 or 3x3 numpy arrays.  All functions are
-pure and stateless.
+The library's bounds use closed forms; the generic eigendecomposition, PSD
+square root and fidelity here serve the tests as independent references.
+The Schur complement gives the effective Fisher matrix of the parameters of
+interest.  Everything works on plain 2x2 or 3x3 numpy arrays.
 """
 
 import numpy as np
 
 __all__ = [
     "NotPSDError",
-    "UnsupportedStructureError",
     "sym_eig",
     "psd_sqrt",
     "fidelity",
-    "trabs",
     "schur_complement",
 ]
 
-# Eigenvalues in [-PSD_CLAMP_TOL, 0) are treated as exact zeros; they arise
-# from floating-point products of otherwise exact closed forms.
-PSD_CLAMP_TOL = 1e-12
+# psd_sqrt and fidelity clip eigenvalues in [-PSD_REJECT_TOL, 0) to zero, the
+# round-off of otherwise exact closed forms, and reject anything below.
 PSD_REJECT_TOL = 1e-9
 
 
 class NotPSDError(ValueError):
     """Input matrix has a genuinely negative eigenvalue."""
-
-
-class UnsupportedStructureError(ValueError):
-    """Matrix is outside the structures trabs knows how to handle."""
 
 
 def _as_sym(m):
@@ -72,34 +67,6 @@ def fidelity(a, b):
     if np.min(w) < -PSD_REJECT_TOL:
         raise NotPSDError(f"inner matrix has negative eigenvalue {np.min(w):.3e}")
     return float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
-
-
-def trabs(m):
-    """Sum of moduli of the eigenvalues of a 3x3 real matrix.
-
-    Two structures are supported: general symmetric matrices (via the
-    eigenvalues directly), and traceless matrices with zero determinant,
-    whose spectrum is {0, +z, -z} with z possibly imaginary.  For the latter
-    the answer is sqrt(2 |Tr m^2|).  Note the modulus: for the
-    antisymmetric-like matrices this kernel is applied to, Tr m^2 is
-    negative and the literal sqrt(2 Tr m^2) would be imaginary.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3) and m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 or 3x3 matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    if np.allclose(m, m.T, atol=1e-12, rtol=0.0):
-        w = np.linalg.eigvalsh(0.5 * (m + m.T))
-        return float(np.sum(np.abs(w)))
-    tr = float(np.trace(m))
-    det = float(np.linalg.det(m))
-    if abs(tr) < 1e-9 and abs(det) < 1e-9:
-        return float(np.sqrt(2.0 * abs(np.trace(m @ m))))
-    raise UnsupportedStructureError(
-        "trabs requires a symmetric matrix or a traceless singular one "
-        f"(got trace {tr:.3e}, det {det:.3e})"
-    )
 
 
 def schur_complement(j):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import WeightSpec, hgm_bound
+from .bounds import hgm_bound
 from .fisher import classical_fisher, outcome_gradients, sld_fisher
 from .model import SIGMA, SIGMA0, ThetaParams, bloch_from_theta
 
@@ -174,9 +174,7 @@ def optimal_povm_plan(t, w):
     serve when F is a multiple of the identity.  For 2x2 G, G^(1/2) is
     proportional to G + sqrt(det G) I.
     """
-    if isinstance(w, WeightSpec):
-        w = w.matrix
-    _, lam, u = hgm_bound(t, 2, np.asarray(w, dtype=float))
+    _, lam, u = hgm_bound(t, 2, w)
     sqrt_lam = np.sqrt(np.clip(lam, 0.0, None))
     g = sld_fisher(t, 2)
     c3, s3 = np.cos(t.theta3), np.sin(t.theta3)

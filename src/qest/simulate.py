@@ -85,8 +85,8 @@ class SimConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.n < 4:
             raise ValueError("n must be at least 4")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        if self.trials < 2:
+            raise ValueError("trials must be at least 2")
         if not 0.0 < self.phase_fraction_exponent < 1.0:
             raise ValueError("phase_fraction_exponent must be in (0, 1)")
         if self.strategy == "two-step":
@@ -137,8 +137,8 @@ def mse_from_trials(estimates, truth, weight, n=1):
 
 
 def _interest_weight(weight):
-    """The 2x2 interest block of the weight: the W of the k=2 bounds."""
-    return weight.matrix if weight.is_block else weight.full()[:2, :2]
+    """The 2x2 interest block of the weight, as the WeightSpec of the k=2 bounds."""
+    return weight if weight.k == 2 else WeightSpec(weight.full()[:2, :2])
 
 
 def _result(cfg, trial_means, w2, diagnostics):

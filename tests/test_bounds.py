@@ -55,6 +55,16 @@ def test_weight_spec_rejects_indefinite():
         WeightSpec.block(np.eye(2), -1.0)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_weight_spec_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        WeightSpec(np.array([[bad, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        WeightSpec.block(np.array([[1.0, bad], [bad, 1.0]]), 1.0)
+    with pytest.raises(ValueError, match="w3"):
+        WeightSpec.block(np.eye(2), bad)
+
+
 def test_reference_values_k2():
     w = WeightSpec.identity(2)
     assert sld_cr_bound(T_REF, 2, w) == pytest.approx(1.5, abs=1e-12)

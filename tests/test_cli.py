@@ -268,6 +268,24 @@ def test_bad_weight_is_reported():
     assert "weight" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--weight", "inf,0,0,1"],
+        ["bounds", "--weight", "1,nan,nan,1"],
+        ["bounds", "--nuisance", "unknown", "--w3", "inf"],
+        ["bounds", "--nuisance", "unknown", "--w3", "nan"],
+        ["povm", "--weight", "inf,0,0,1"],
+    ],
+)
+def test_non_finite_weight_is_one_error_line(argv):
+    code, out, err = run_cli(argv + ["--theta", "0.5,0.3,0.7"])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and "finite" in err
+
+
 def test_runs_without_scipy():
     # sys.modules["scipy"] = None makes every scipy import raise ImportError.
     code = (

@@ -1,16 +1,14 @@
-"""Symmetric-matrix kernels: eigendecomposition, sqrt, fidelity, TrAbs, Schur."""
+"""Symmetric-matrix kernels: eigendecomposition, sqrt, fidelity, Schur."""
 
 import numpy as np
 import pytest
 
 from qest.linalg import (
     NotPSDError,
-    UnsupportedStructureError,
     fidelity,
     psd_sqrt,
     schur_complement,
     sym_eig,
-    trabs,
 )
 
 
@@ -67,23 +65,6 @@ def test_fidelity_symmetric_in_arguments():
         y = rng.normal(size=(3, 3))
         a, b = x @ x.T, y @ y.T
         assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-9)
-
-
-def test_trabs_symmetric():
-    m = np.diag([3.0, -1.0, 0.5])
-    assert trabs(m) == pytest.approx(4.5, abs=1e-12)
-
-
-def test_trabs_traceless_singular():
-    # Antisymmetric structure: eigenvalues {it, -it, 0} with modulus sum 2t.
-    # The matrix below has Tr m = 0, det m = 0, t = sqrt(2).
-    m = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
-    assert trabs(m) == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-12)
-
-
-def test_trabs_rejects_general_matrix():
-    with pytest.raises(UnsupportedStructureError):
-        trabs(np.array([[1.0, 2.0], [0.0, 3.0]]))
 
 
 def test_schur_complement_block_formula():

@@ -16,9 +16,21 @@ from qest.bounds import (
     rld_cr_bound,
     sld_cr_bound,
 )
-from qest.fisher import outcome_gradients
+from qest.fisher import (
+    classical_fisher,
+    outcome_gradients,
+    rld_fisher_inverse,
+    sld_fisher_inverse,
+)
+from qest.linalg import psd_sqrt
 from qest.model import ThetaParams, bloch_derivatives, state_derivatives, state_from_theta
-from qest.povm import Povm, build_optimal_povm
+from qest.povm import (
+    Povm,
+    build_optimal_estimator,
+    build_optimal_povm,
+    optimal_povm_plan,
+    verify_locally_unbiased,
+)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -34,6 +46,13 @@ def cases(draw):
     t = ThetaParams(t1, t2, draw(st.floats(0.0, 2.0 * np.pi)))
     a = np.array([[draw(unit) for _ in range(2)] for _ in range(2)])
     return t, a @ a.T + 0.05 * np.eye(2), draw(st.floats(0.0, 2.0 * np.pi))
+
+
+@st.composite
+def full_weights(draw):
+    """A random positive-definite 3x3 weight, not in block form."""
+    a = np.array([[draw(unit) for _ in range(3)] for _ in range(3)])
+    return a @ a.T + 0.05 * np.eye(3)
 
 
 def trace_gradients(t, povm, k):
@@ -140,3 +159,49 @@ def test_bounds_are_chart_invariant(case, w3):
         a, b = bound_report(t, k, given_w), bound_report(mirror, k, mirror_w)
         for name in ("sld_cr", "rld_cr", "nagaoka_hgm", "holevo"):
             assert getattr(a, name) == pytest.approx(getattr(b, name), rel=1e-12)
+
+
+@SETTINGS
+@given(cases(), full_weights())
+def test_rld_k3_trabs_equals_eigenvalue_moduli(case, w):
+    t, _, _ = case
+    ginv = rld_fisher_inverse(t, 3)
+    expected = np.trace(w @ ginv.real) + np.sum(np.abs(np.linalg.eigvals(w @ ginv.imag)))
+    assert rld_cr_bound(t, 3, w) == pytest.approx(expected, rel=1e-10)
+
+
+@SETTINGS
+@given(cases(), st.floats(0.05, 5.0))
+def test_hgm_matches_generic_square_roots(case, w3):
+    t, w, _ = case
+    for k, spec in ((2, WeightSpec(w)), (3, WeightSpec.block(w, w3))):
+        # F = sqrt(G^-1) W sqrt(G^-1) and (Tr sqrt F)^2 through the generic psd_sqrt
+        root = psd_sqrt(sld_fisher_inverse(t, k))
+        f = root @ spec.full() @ root
+        value, lam, _ = hgm_bound(t, k, spec)
+        assert value == pytest.approx(np.trace(psd_sqrt(f)) ** 2, rel=1e-10)
+        assert np.max(np.abs(lam - np.linalg.eigvalsh(f)[::-1])) < 1e-10 * lam[0]
+
+
+@SETTINGS
+@given(cases())
+def test_plan_is_rotation_covariant(case):
+    t, w, phi = case
+    plan = optimal_povm_plan(t, w)
+    turned = optimal_povm_plan(ThetaParams(t.theta1, t.theta2, t.theta3 + phi), w)
+    c, s = np.cos(phi), np.sin(phi)
+    rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    for n, m in zip(plan.directions @ rotation.T, turned.directions):
+        assert min(np.max(np.abs(n - m)), np.max(np.abs(n + m))) < 1e-12
+    assert np.max(np.abs(plan.probabilities - turned.probabilities)) < 1e-12
+    assert np.max(np.abs(plan.lambdas - turned.lambdas)) < 1e-12 * (1.0 + plan.lambdas[0])
+
+
+@SETTINGS
+@given(cases())
+def test_optimal_measurement_attains_nagaoka(case):
+    t, w, _ = case
+    povm, _ = build_optimal_povm(t, w)
+    assert verify_locally_unbiased(build_optimal_estimator(t, w, povm))["passed"]
+    attained = np.trace(w @ np.linalg.inv(classical_fisher(t, povm, 2)))
+    assert attained == pytest.approx(nagaoka_bound(t, w), rel=1e-10)

@@ -65,6 +65,9 @@ def test_config_validation():
         SimConfig(T, W, "two-step", n=100, trials=10, phase_fraction_exponent=1.5)
     with pytest.raises(ValueError):
         SimConfig(T, W, "single-copy-optimal", n=2, trials=10)
+    # mse_from_trials needs two trials: fail before any trial runs
+    with pytest.raises(ValueError, match="trials must be at least 2"):
+        SimConfig(T, W, "adaptive", n=100, trials=1)
 
 
 def test_determinism_bit_identical():

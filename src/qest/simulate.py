@@ -24,8 +24,12 @@ The state depends on (theta1, theta3) only through theta1 exp(i theta3),
 so ``SimConfig`` moves a theta1 < 0 truth to the theta1 > 0 branch and the
 MLE keeps its estimates there.
 
-Trials draw from independent counter-based streams derived from
-(seed, trial index), so results are deterministic and order-independent.
+Trial t of a run draws from the PCG64 stream of
+``numpy.random.default_rng((seed, t))``, so results are deterministic and do
+not depend on the order in which trials run.  Building that generator costs
+more than most trials, so a run hashes the PCG64 states of all its trials in
+one vectorized pass (a port of numpy's ``SeedSequence``) and loads each into
+one reused generator; the draws are the same, bit for bit.
 """
 
 import math
@@ -40,6 +44,7 @@ from .povm import Povm, build_optimal_estimator, build_optimal_povm, optimal_pov
 
 __all__ = [
     "SimConfig",
+    "TrialStreams",
     "SimResult",
     "sample_outcomes",
     "run_single_copy_optimal",
@@ -61,6 +66,7 @@ class SimConfig:
     S = diag(-1, 1) or diag(-1, 1, 1) (a block weight keeps its w3).  An
     error e in the given chart is S e in the stored one, so every weighted
     MSE is unchanged; `SimResult.empirical_mse` is in the stored chart.
+    A weight given as a matrix is checked and stored as a `WeightSpec`.
     """
 
     theta_true: ThetaParams
@@ -73,6 +79,11 @@ class SimConfig:
     batch_size: int = 100
 
     def __post_init__(self):
+        if not isinstance(self.weight, WeightSpec):
+            object.__setattr__(self, "weight", WeightSpec(np.asarray(self.weight, dtype=float)))
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         t = self.theta_true
         if t.theta1 < 0.0:
             flip = np.ones(len(self.weight.matrix))
@@ -96,8 +107,126 @@ class SimConfig:
             if self.n - m < 2:
                 raise ValueError("main stage receives fewer than 2 copies")
 
-    def trial_rng(self, trial):
-        return np.random.default_rng((self.seed, trial))
+    def trial_rng(self, trial, streams=None):
+        """The generator of trial's stream, at its start.
+
+        Its state is that of ``numpy.random.default_rng((seed, trial))``.
+        streams: the `TrialStreams` of a run, which holds the hashed states
+        of its trials and one generator that each call restarts on trial's
+        stream, so draw from it before the next call.  Without streams,
+        trial is hashed alone into a new generator.
+        """
+        if streams is None:
+            streams = TrialStreams(self.seed, range(trial, trial + 1))
+        return streams.load(trial)
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), fixed by numpy's
+# compatibility policy, and PCG64's multiplier (numpy/random/src/pcg64)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_sequence_words(entropy):
+    """``SeedSequence(column).generate_state(4, np.uint64)`` for each column of entropy.
+
+    entropy: a (words, columns) uint64 array of 32-bit entropy words, least
+    significant word of each integer first.  Returns the four uint64 output
+    words, each an array over the columns.  The hash works mod 2^32 in
+    uint64 arrays: every product fits in 64 bits before it is reduced.
+    """
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ result >> 16
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, len(entropy)):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+    const = _INIT_B
+    halves = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const & _MASK32
+        halves.append(value ^ value >> 16)
+    return [halves[i] | halves[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _int_words(n):
+    """The 32-bit words SeedSequence reads from a non-negative int, least significant first."""
+    n = int(n)
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _pcg64_states(seed, trials):
+    """(state, inc) of ``default_rng((seed, trial)).bit_generator`` for each trial.
+
+    trials: non-negative ints below 2^64.  The entropy is the 32-bit words of
+    seed, then those of trial; PCG64 seeds from the words (s_hi, s_lo, i_hi,
+    i_lo) with inc = 2 i + 1 and state = (inc + s) MULT + inc, mod 2^128.
+    """
+    trials = np.asarray(trials, dtype=np.uint64)
+    low, high = trials & _MASK32, trials >> 32
+    seed_words = np.array(_int_words(seed), dtype=np.uint64)[:, None]
+    words = np.empty((4, len(trials)), dtype=object)
+    for rows, trial_words in ((high == 0, [low]), (high != 0, [low, high])):
+        if rows.any():
+            entropy = np.vstack([np.repeat(seed_words, rows.sum(), axis=1)]
+                                + [w[rows] for w in trial_words])
+            for out, word in zip(words, _seed_sequence_words(entropy)):
+                out[rows] = word.astype(object)
+    s_hi, s_lo, i_hi, i_lo = words
+    inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
+    state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+    return list(zip(state.tolist(), inc.tolist()))
+
+
+class TrialStreams:
+    """The PCG64 states of ``default_rng((seed, trial))`` for a range of trials.
+
+    They are hashed at construction, all in one vectorized pass; `load`
+    sets one of them in the one generator this object keeps.  trials: a
+    range of non-negative ints below 2^64.
+    """
+
+    def __init__(self, seed, trials):
+        self._trials = trials
+        self._states = _pcg64_states(seed, trials)
+        self._generator = np.random.Generator(np.random.PCG64(0))
+        # the argument of every state load; PCG64 copies it, so it is reused
+        self._pcg = {"state": 0, "inc": 0}
+        self._state = {"bit_generator": "PCG64", "state": self._pcg, "has_uint32": 0,
+                       "uinteger": 0}
+
+    def load(self, trial):
+        """The generator, restarted at the start of trial's stream."""
+        self._pcg["state"], self._pcg["inc"] = self._states[self._trials.index(trial)]
+        self._generator.bit_generator.state = self._state
+        return self._generator
 
 
 @dataclass(frozen=True)
@@ -160,11 +289,11 @@ def run_single_copy_optimal(cfg):
     est_matrix = build_optimal_estimator(t, w2, povm).estimate_matrix()
     p = povm.probabilities(t)
     p = p / np.sum(p)
-    trial_means = np.empty((cfg.trials, 2))
+    streams = TrialStreams(cfg.seed, range(cfg.trials))
+    counts = np.empty((cfg.trials, len(p)), dtype=np.int64)
     for trial in range(cfg.trials):
-        rng = cfg.trial_rng(trial)
-        counts = rng.multinomial(cfg.n, p)
-        trial_means[trial] = counts @ est_matrix / cfg.n
+        counts[trial] = cfg.trial_rng(trial, streams).multinomial(cfg.n, p)
+    trial_means = counts @ est_matrix / cfg.n
     exact = np.linalg.inv(classical_fisher(t, povm, 2))
     diag = {"analytic_single_copy_mse": exact, "strategy": cfg.strategy}
     return _result(cfg, trial_means, w2, diag)
@@ -255,19 +384,20 @@ def run_two_step(cfg):
     anchor = ThetaParams(t.theta1, t.theta2, 0.0)
     measurement, _ = build_optimal_povm(anchor, w2)
     est_matrix = build_optimal_estimator(anchor, w2, measurement).estimate_matrix()
-    trial_means = np.empty((cfg.trials, 2))
+    streams = TrialStreams(cfg.seed, range(cfg.trials))
+    counts = np.empty((cfg.trials, len(est_matrix)), dtype=np.int64)
+    v33_hats = np.empty(cfg.trials)
     theta3_errors = np.empty(cfg.trials)
     resampled = low_visibility = 0
     for trial in range(cfg.trials):
-        rng = cfg.trial_rng(trial)
-        theta3_hat, v33_hat, redrawn, low = _phase_stage(s, m, rng)
+        rng = cfg.trial_rng(trial, streams)
+        theta3_hat, v33_hats[trial], redrawn, low = _phase_stage(s, m, rng)
         resampled += redrawn
         low_visibility += low
         theta3_errors[trial] = _wrap_angle(theta3_hat - t.theta3)
-        counts = sample_outcomes(t, measurement.rotated(theta3_hat), n2, rng)
-        mean = counts @ est_matrix / n2
-        mean[0] *= 1.0 + 0.5 * v33_hat
-        trial_means[trial] = mean
+        counts[trial] = sample_outcomes(t, measurement.rotated(theta3_hat), n2, rng)
+    trial_means = counts @ est_matrix / n2
+    trial_means[:, 0] *= 1.0 + 0.5 * v33_hats
     v33_emp = float(np.mean(theta3_errors**2))
     gamma = v33_emp / (v33_emp - g33 / cfg.n) if v33_emp > g33 / cfg.n else math.inf
     diag = {
@@ -358,8 +488,9 @@ def run_adaptive(cfg):
     n_batches = max(cfg.n // batch, 1)
     trial_means = np.empty((cfg.trials, 2))
     nonconverged = 0
+    streams = TrialStreams(cfg.seed, range(cfg.trials))
     for trial in range(cfg.trials):
-        rng = cfg.trial_rng(trial)
+        rng = cfg.trial_rng(trial, streams)
         rows = []
         theta_hat = None
         for _ in range(n_batches):

@@ -187,6 +187,15 @@ def test_simulate_deterministic():
     assert a == b
 
 
+def test_negative_seed_is_one_error_line():
+    code, out, err = run_cli(
+        ["simulate", "--theta", "0.6,0,0.3", "--n", "10,20", "--trials", "20", "--seed", "-1"]
+    )
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: seed must be a non-negative integer, got -1"]
+
+
 def test_sweep_monotone_and_gap():
     code, out, err = run_cli(
         [

@@ -31,6 +31,7 @@ from qest.povm import (
     optimal_povm_plan,
     verify_locally_unbiased,
 )
+from qest.simulate import SimConfig
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -205,3 +206,14 @@ def test_optimal_measurement_attains_nagaoka(case):
     assert verify_locally_unbiased(build_optimal_estimator(t, w, povm))["passed"]
     attained = np.trace(w @ np.linalg.inv(classical_fisher(t, povm, 2)))
     assert attained == pytest.approx(nagaoka_bound(t, w), rel=1e-10)
+
+
+@SETTINGS
+@given(st.integers(0, 2**128 - 1), st.integers(0, 2**40 - 1))
+def test_trial_rng_state_is_default_rngs(seed, trial):
+    # The keyed hash must give default_rng's PCG64 state for every seed, one
+    # to four 32-bit words long, and every trial, one or two words long.
+    cfg = SimConfig(ThetaParams(0.6, 0.2, 0.3), WeightSpec.identity(2), "two-step", 100, 2,
+                    seed=seed)
+    want = np.random.default_rng((seed, trial)).bit_generator.state
+    assert cfg.trial_rng(trial).bit_generator.state == want

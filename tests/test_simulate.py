@@ -11,6 +11,7 @@ from qest import simulate
 from qest.simulate import (
     TOMOGRAPHIC,
     SimConfig,
+    TrialStreams,
     _initial_guess,
     _mle_update,
     _project_theta,
@@ -68,6 +69,127 @@ def test_config_validation():
     # mse_from_trials needs two trials: fail before any trial runs
     with pytest.raises(ValueError, match="trials must be at least 2"):
         SimConfig(T, W, "adaptive", n=100, trials=1)
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-3), 1.5, 2.0, np.float64(3.0), "3", None, True,
+                                  (1, 2), np.array(4)])
+def test_seed_must_be_a_non_negative_integer(seed):
+    # default_rng rejects these only once the run starts, or (1.5) with a
+    # TypeError; the keyed hash must never accept a seed default_rng rejects.
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        SimConfig(T, W, "single-copy-optimal", n=20, trials=2, seed=seed)
+
+
+def test_numpy_integer_seeds_are_their_values():
+    results = [
+        run(SimConfig(T, W, "single-copy-optimal", n=20, trials=5, seed=seed)).empirical_mse
+        for seed in (2**63, np.uint64(2**63))
+    ]
+    assert np.array_equal(*results)
+
+
+def test_plain_array_weight_is_wrapped_in_a_weight_spec():
+    w = np.array([[1.0, 0.4], [0.4, 2.0]])
+    given, wrapped = (
+        run(SimConfig(T, weight, "two-step", n=200, trials=5, seed=2))
+        for weight in (w, WeightSpec(w))
+    )
+    assert np.array_equal(given.empirical_mse, wrapped.empirical_mse)
+    assert given.weighted_mse == wrapped.weighted_mse
+    with pytest.raises(ValueError, match="positive definite"):
+        SimConfig(T, -w, "two-step", n=200, trials=5)
+
+
+def test_plain_array_weight_is_wrapped_with_negative_theta1():
+    w = np.array([[1.0, 0.4], [0.4, 2.0]])
+    flip = np.diag([-1.0, 1.0])
+    cfg = SimConfig(ThetaParams(-0.6, 0.2, 0.3), w.tolist(), "two-step", n=100, trials=2)
+    assert isinstance(cfg.weight, WeightSpec)
+    assert np.array_equal(cfg.weight.matrix, flip @ w @ flip)
+    with pytest.raises(ValueError, match="positive definite"):
+        SimConfig(ThetaParams(-0.6, 0.2, 0.3), -w, "two-step", n=100, trials=2)
+
+
+class _RecordingRng:
+    """A trial's generator that logs every draw a strategy makes."""
+
+    def __init__(self, rng, draws):
+        self._rng, self._draws = rng, draws
+
+    def multinomial(self, n, p):
+        counts = self._rng.multinomial(n, p)
+        self._draws.append(counts.copy())
+        return counts
+
+    def binomial(self, n, p):
+        count = self._rng.binomial(n, p)
+        self._draws.append(count)
+        return count
+
+
+@pytest.mark.parametrize(
+    "strategy, n, trials",
+    [("single-copy-optimal", 200, 40), ("two-step", 64, 40), ("two-step", 2000, 40),
+     ("adaptive", 300, 3)],
+)
+@pytest.mark.parametrize("seed", [0, 2**40 + 7])
+def test_keyed_streams_draw_what_default_rng_draws(monkeypatch, strategy, n, trials, seed):
+    # Every draw of a run, and its result, must be those of a run whose
+    # trials draw from default_rng((seed, trial)) itself.
+    keyed = SimConfig.trial_rng
+    cfg = SimConfig(ThetaParams(-0.6, 0.2, 0.3), W, strategy, n, trials, seed=seed,
+                    phase_fraction_exponent=2 / 3)
+    runs = []
+    for trial_rng in (
+        keyed,
+        lambda self, trial, streams=None: np.random.default_rng((self.seed, trial)),
+    ):
+        draws = []
+        monkeypatch.setattr(
+            SimConfig, "trial_rng",
+            lambda self, trial, *args, rng=trial_rng, draws=draws: _RecordingRng(
+                rng(self, trial, *args), draws
+            ),
+        )
+        runs.append((run(cfg), draws))
+    (got, got_draws), (want, want_draws) = runs
+    assert len(got_draws) == len(want_draws) >= trials
+    for a, b in zip(got_draws, want_draws):
+        assert np.array_equal(a, b)
+    np.testing.assert_allclose(got.empirical_mse, want.empirical_mse, rtol=1e-12, atol=0.0)
+    for field in ("weighted_mse", "n_times_weighted_mse", "stderr"):
+        assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12, abs=0.0)
+    assert got.diagnostics.keys() == want.diagnostics.keys()
+
+
+def test_trial_rng_contract_for_repeated_calls():
+    cfg = SimConfig(T, W, "two-step", n=100, trials=8, seed=11)
+    want = [np.random.default_rng((11, trial)).random(3) for trial in range(8)]
+    # Without streams, each call returns a new generator at the stream's start.
+    a, b = cfg.trial_rng(5), cfg.trial_rng(5)
+    assert a is not b
+    assert np.array_equal(a.random(3), want[5])
+    assert np.array_equal(b.random(3), want[5])
+    # A run's streams keep one generator; each call restarts it on the
+    # trial's stream, whatever was drawn before and in any trial order.
+    streams = TrialStreams(cfg.seed, range(cfg.trials))
+    shared = cfg.trial_rng(3, streams)
+    shared.random(2)
+    for trial in (3, 7, 0, 3):
+        rng = cfg.trial_rng(trial, streams)
+        assert rng is shared
+        assert np.array_equal(rng.random(3), want[trial])
+    with pytest.raises(ValueError):
+        cfg.trial_rng(8, streams)
+
+
+def test_trial_streams_across_the_32_bit_word_boundary():
+    # Trials below 2^32 are one entropy word, the rest two; one table holds both.
+    trials = range(2**32 - 2, 2**32 + 2)
+    streams = TrialStreams(2**40 + 7, trials)
+    for trial in trials:
+        want = np.random.default_rng((2**40 + 7, trial)).bit_generator.state
+        assert streams.load(trial).bit_generator.state == want
 
 
 def test_determinism_bit_identical():

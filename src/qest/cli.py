@@ -54,6 +54,14 @@ def _fmt(value):
     return f"{float(value):.9g}"
 
 
+def _parse_count(text):
+    """A finite whole number, written as an integer or a decimal ("1e4")."""
+    value = float(text)
+    if not np.isfinite(value) or value != int(value):
+        raise ValueError(f"n must be a whole number, got {text.strip()!r}")
+    return int(value)
+
+
 def _parse_weight(text, k):
     """Weight matrix from 'identity', an inline row-major CSV string, or a file.
 
@@ -160,7 +168,7 @@ def cmd_simulate(args):
     k = 2 if args.nuisance == "known" else 3
     w = _weight_spec(args, k)
     seed = int(os.environ.get("QEST_SEED", args.seed))
-    grid = sorted({int(float(v)) for v in args.n.split(",")})
+    grid = sorted({_parse_count(v) for v in args.n.split(",")})
     results = []
     for n in grid:
         cfg = SimConfig(

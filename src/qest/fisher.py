@@ -42,17 +42,9 @@ class SingularModelError(ValueError):
 
 @dataclass(frozen=True)
 class SldOperators:
-    """The k SLD operators, with their expansion in {sigma0, sigma}.
-
-    operators[i] == scalar[i] * sigma0 + vectors[i] . sigma
-    """
+    """The k SLD operators, each a 2x2 Hermitian matrix."""
 
     operators: tuple
-    scalars: np.ndarray
-    vectors: np.ndarray
-
-    def __len__(self):
-        return len(self.operators)
 
 
 def sld_operators(t, k=3):
@@ -62,16 +54,11 @@ def sld_operators(t, k=3):
     """
     s = bloch_from_theta(t)
     s2 = float(s @ s)
-    derivs = bloch_derivatives(t, k)
-    scalars = np.empty(k)
-    vectors = np.empty((k, 3))
     ops = []
-    for i, d in enumerate(derivs):
+    for d in bloch_derivatives(t, k):
         a = float(d @ s) / (1.0 - s2)
-        scalars[i] = -a
-        vectors[i] = d + a * s
-        ops.append(-a * SIGMA0 + np.tensordot(vectors[i], SIGMA, axes=1))
-    return SldOperators(tuple(ops), scalars, vectors)
+        ops.append(-a * SIGMA0 + np.tensordot(d + a * s, SIGMA, axes=1))
+    return SldOperators(tuple(ops))
 
 
 def sld_operators_oracle(t, k=3):
@@ -89,16 +76,12 @@ def sld_operators_oracle(t, k=3):
         sym = 0.5 * (rho @ b + b @ rho)
         cols.append([0.5 * np.trace(e @ sym).real for e in basis])
     system = np.array(cols).T
-    scalars = np.empty(k)
-    vectors = np.empty((k, 3))
     ops = []
-    for i, drho in enumerate(drhos):
+    for drho in drhos:
         rhs = np.array([0.5 * np.trace(e @ drho).real for e in basis])
         coeffs = np.linalg.solve(system, rhs)
-        scalars[i] = coeffs[0]
-        vectors[i] = coeffs[1:]
         ops.append(coeffs[0] * SIGMA0 + np.tensordot(coeffs[1:], SIGMA, axes=1))
-    return SldOperators(tuple(ops), scalars, vectors)
+    return SldOperators(tuple(ops))
 
 
 def sld_fisher(t, k=3):

@@ -12,13 +12,14 @@ Three strategies are supported:
   optimal POVM) after every batch.
 
 Every measurement is a ``qest.povm.Povm`` in Bloch form.  The model is
-covariant under rotation about z: the optimal measurement at
-phase phi is the one at phase 0 rotated by phi, and its estimator table
-does not depend on phi.  So ``two-step`` builds the measurement and the
-table once per run, at (theta1, theta2, 0), and each trial only rotates the
-measurement's Bloch axes by its estimated phase.  ``adaptive`` stacks the
-Bloch form (weights, axes) and the counts of every batch in one array, so
-a Fisher-scoring step is one vectorized pass over it.
+covariant under rotation about z: the optimal measurement at phase phi is
+the one at phase 0 rotated by phi, sign of each axis included, and its
+estimator table does not depend on phi.  So ``two-step`` builds the
+measurement and the table once per run, at (theta1, theta2, 0), and each
+trial samples it on the truth rotated by minus the estimated phase, which
+gives the outcome probabilities of the measurement aimed at the estimate.
+``adaptive`` stacks the Bloch form (weights, axes) and the counts of every
+batch in one array, so a Fisher-scoring step is one vectorized pass over it.
 
 The state depends on (theta1, theta3) only through theta1 exp(i theta3),
 so ``SimConfig`` moves a theta1 < 0 truth to the theta1 > 0 branch and the
@@ -57,6 +58,11 @@ __all__ = [
 STRATEGIES = ("single-copy-optimal", "two-step", "adaptive")
 
 
+def _is_integer(value):
+    """True for a Python or numpy integer; bool is not one here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One simulation run.
@@ -81,9 +87,11 @@ class SimConfig:
     def __post_init__(self):
         if not isinstance(self.weight, WeightSpec):
             object.__setattr__(self, "weight", WeightSpec(np.asarray(self.weight, dtype=float)))
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
-                or self.seed < 0):
+        if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        for name in ("n", "trials", "batch_size"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         t = self.theta_true
         if t.theta1 < 0.0:
             flip = np.ones(len(self.weight.matrix))
@@ -98,14 +106,14 @@ class SimConfig:
             raise ValueError("n must be at least 4")
         if self.trials < 2:
             raise ValueError("trials must be at least 2")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
         if not 0.0 < self.phase_fraction_exponent < 1.0:
             raise ValueError("phase_fraction_exponent must be in (0, 1)")
-        if self.strategy == "two-step":
-            m = int(self.n ** self.phase_fraction_exponent)
-            if m < 1:
-                raise ValueError("phase stage receives no copies")
-            if self.n - m < 2:
-                raise ValueError("main stage receives fewer than 2 copies")
+        # n >= 4 gives the phase stage floor(n^e) >= 1 copies
+        phase_copies = int(self.n ** self.phase_fraction_exponent)
+        if self.strategy == "two-step" and self.n - phase_copies < 2:
+            raise ValueError("main stage receives fewer than 2 copies")
 
     def trial_rng(self, trial, streams=None):
         """The generator of trial's stream, at its start.
@@ -346,9 +354,9 @@ def _phase_stage(s, m, rng):
     if m_fine == 0 or low_visibility:
         return rough, v_rough, resampled, low_visibility
     # tangential axis (-sin, cos, 0) at the rough phase: probability
-    # (1 + t1 sin d)/2 with d the remaining phase error
+    # (1 + t1 sin d)/2 with d the remaining phase error, inside (0, 1)
     p = 0.5 * (1.0 + math.cos(rough) * s[1] - math.sin(rough) * s[0])
-    mean_t = 2.0 * rng.binomial(m_fine, min(max(p, 0.0), 1.0)) / m_fine - 1.0
+    mean_t = 2.0 * rng.binomial(m_fine, p) / m_fine - 1.0
     ratio = min(max(mean_t / r_hat, -1.0), 1.0)
     delta_hat = math.asin(ratio)
     v_fine = max((1.0 - mean_t * mean_t), 1e-12) / (
@@ -365,15 +373,16 @@ def run_two_step(cfg):
     """Two-step strategy: spend floor(n^e) copies on the phase, then measure.
 
     The optimal measurement and its estimator table are built once, at
-    (theta1, theta2, 0).  Each trial rotates the measurement's Bloch axes
-    by its estimated phase, which gives the optimal measurement at
-    (theta1, theta2, theta3_hat) up to the sign of each axis, and reads
-    the same table: the table does not depend on the phase.  Because the
-    mis-aimed optimal measurement reads off theta1 cos(dtheta3) instead of
-    theta1, the raw estimate carries an O(dtheta3^2) bias; the first
-    component is debiased by the factor 1 + v33_hat/2 using the phase
-    stage's own variance estimate, which removes the bias to first order
-    in v33.
+    (theta1, theta2, 0).  The optimal measurement at (theta1, theta2,
+    theta3_hat) is that one rotated by theta3_hat about z, so its outcome
+    probabilities on the truth are those of the phase-0 measurement on the
+    truth rotated by -theta3_hat, (theta1, theta2, theta3 - theta3_hat).
+    Each trial samples those and reads the same table: the table does not
+    depend on the phase.  Because the mis-aimed optimal measurement reads
+    off theta1 cos(dtheta3) instead of theta1, the raw estimate carries an
+    O(dtheta3^2) bias; the first component is debiased by the factor
+    1 + v33_hat/2 using the phase stage's own variance estimate, which
+    removes the bias to first order in v33.
     """
     t = cfg.theta_true
     w2 = _interest_weight(cfg.weight)
@@ -395,7 +404,8 @@ def run_two_step(cfg):
         resampled += redrawn
         low_visibility += low
         theta3_errors[trial] = _wrap_angle(theta3_hat - t.theta3)
-        counts[trial] = sample_outcomes(t, measurement.rotated(theta3_hat), n2, rng)
+        turned = ThetaParams(t.theta1, t.theta2, t.theta3 - theta3_hat)
+        counts[trial] = sample_outcomes(turned, measurement, n2, rng)
     trial_means = counts @ est_matrix / n2
     trial_means[:, 0] *= 1.0 + 0.5 * v33_hats
     v33_emp = float(np.mean(theta3_errors**2))
@@ -479,13 +489,16 @@ def run_adaptive(cfg):
     """Batched adaptive strategy with maximum-likelihood re-estimation.
 
     The first batch is tomographic (sigma1, sigma2, sigma3 thirds); every
-    later batch uses the optimal POVM at the current estimate.  The final
-    interest-parameter estimate comes from the last MLE.
+    later batch uses the optimal POVM at the current estimate.  Batches
+    hold batch_size copies, the last one the remainder, so that a trial
+    measures n copies.  The final interest-parameter estimate comes from
+    the last MLE.
     """
     t = cfg.theta_true
     w2 = _interest_weight(cfg.weight)
-    batch = cfg.batch_size
-    n_batches = max(cfg.n // batch, 1)
+    sizes = [cfg.batch_size] * (cfg.n // cfg.batch_size)
+    if cfg.n % cfg.batch_size:
+        sizes.append(cfg.n % cfg.batch_size)
     trial_means = np.empty((cfg.trials, 2))
     nonconverged = 0
     streams = TrialStreams(cfg.seed, range(cfg.trials))
@@ -493,7 +506,7 @@ def run_adaptive(cfg):
         rng = cfg.trial_rng(trial, streams)
         rows = []
         theta_hat = None
-        for _ in range(n_batches):
+        for batch in sizes:
             if theta_hat is None:
                 measurement = TOMOGRAPHIC
             else:

@@ -196,6 +196,34 @@ def test_negative_seed_is_one_error_line():
     assert err.splitlines() == ["error: seed must be a non-negative integer, got -1"]
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--n", "inf"], "error: n must be a whole number, got 'inf'"),
+        (["--n", "nan"], "error: n must be a whole number, got 'nan'"),
+        (["--n", "1000.7"], "error: n must be a whole number, got '1000.7'"),
+        (["--n", "100,1e300000"], "error: n must be a whole number, got '1e300000'"),
+        (["--n", "ten"], "error: could not convert string to float: 'ten'"),
+        (["--batch-size", "0"], "error: batch_size must be at least 1"),
+        (["--batch-size", "-5"], "error: batch_size must be at least 1"),
+    ],
+)
+def test_bad_count_is_one_error_line(flags, message):
+    code, out, err = run_cli(
+        ["simulate", "--theta", "0.6,0,0.3", "--strategy", "adaptive", "--trials", "2"] + flags
+    )
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [message]
+
+
+def test_decimal_n_is_its_whole_number():
+    argv = ["simulate", "--theta", "0.6,0,0.3", "--trials", "20", "--seed", "3"]
+    results = [json.loads(run_cli(argv + ["--n", n])[1]) for n in ("1e2", "100")]
+    assert results[0] == results[1]
+    assert results[0]["results"][0]["n"] == 100
+
+
 def test_sweep_monotone_and_gap():
     code, out, err = run_cli(
         [

@@ -9,6 +9,7 @@ from qest.linalg import psd_sqrt
 from qest.model import SIGMA, SIGMA0, ThetaParams, bloch_from_theta
 from qest.povm import (
     Povm,
+    RankDeficientMeasurementError,
     build_optimal_estimator,
     build_optimal_povm,
     build_phase_perturbed_povm,
@@ -135,9 +136,9 @@ def test_degenerate_weight_gives_half_half():
 
 def test_rotation_covariance():
     # The optimal measurement at phase phi is the one at phase 0 rotated by
-    # phi about z, up to the sign of each axis; a flipped axis swaps the
-    # labels "i+" and "i-" of the estimator table and of the outcome
-    # probabilities, which are otherwise unchanged.
+    # phi about z, sign of each axis included: in label order, its outcome
+    # probabilities at t are those of the phase-0 measurement at t rotated
+    # by -phi, and the two estimator tables are equal.
     rng = np.random.default_rng(34)
     for t, w in random_cases(40, 34):
         phi = rng.uniform(0.0, 2.0 * np.pi)
@@ -145,26 +146,25 @@ def test_rotation_covariance():
         at_zero = ThetaParams(t.theta1, t.theta2, 0.0)
         povm_phi, plan_phi = build_optimal_povm(at_phi, w)
         povm_zero, plan_zero = build_optimal_povm(at_zero, w)
-        rotated = plan_zero.measurement().rotated(phi)
-        signs = np.sign(np.sum(plan_phi.directions * rotated.axes[0::2], axis=1))
-        assert np.max(np.abs(plan_phi.directions - signs[:, None] * rotated.axes[0::2])) < 1e-12
+        c, s = np.cos(phi), np.sin(phi)
+        rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        assert povm_phi.labels == povm_zero.labels
+        assert np.max(np.abs(povm_phi.axes - povm_zero.axes @ rotation.T)) < 1e-12
         assert np.max(np.abs(plan_phi.probabilities - plan_zero.probabilities)) < 1e-12
-        # label of the rotated measurement that matches each rebuilt label
-        swap = {"+": "-", "-": "+"}
-        match = {
-            f"{i + 1}{sign}": f"{i + 1}{sign if flip > 0 else swap[sign]}"
-            for i, flip in enumerate(signs)
-            for sign in "+-"
-        }
-        table_phi = build_optimal_estimator(at_phi, w, povm_phi).estimates
-        table_zero = build_optimal_estimator(at_zero, w, povm_zero).estimates
-        for label, estimate in table_phi.items():
-            assert np.max(np.abs(estimate - table_zero[match[label]])) < 1e-12
-        # two-step: the rotated measurement on the true state
-        p_rebuilt = dict(zip(povm_phi.labels, povm_phi.probabilities(t)))
-        p_rotated = dict(zip(rotated.labels, rotated.probabilities(t)))
-        for label, p in p_rebuilt.items():
-            assert abs(p - p_rotated[match[label]]) < 1e-12
+        table_phi = build_optimal_estimator(at_phi, w, povm_phi).estimate_matrix()
+        table_zero = build_optimal_estimator(at_zero, w, povm_zero).estimate_matrix()
+        assert np.max(np.abs(table_phi - table_zero)) < 1e-12
+        # two-step: the phase-0 measurement on the truth rotated by -phi
+        turned = ThetaParams(t.theta1, t.theta2, t.theta3 - phi)
+        p_aimed, p_turned = povm_phi.probabilities(t), povm_zero.probabilities(turned)
+        assert np.max(np.abs(p_aimed - p_turned)) < 1e-12
+
+
+def test_zero_information_measurement_is_rank_deficient():
+    # {I/2, I/2} ignores the state: its classical Fisher matrix is 0.
+    povm = Povm([("a", SIGMA0 / 2), ("b", SIGMA0 / 2)])
+    with pytest.raises(RankDeficientMeasurementError, match="singular"):
+        build_optimal_estimator(ThetaParams(0.6, 0.0, 0.3), np.eye(2), povm)
 
 
 def test_estimator_locally_unbiased():

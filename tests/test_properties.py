@@ -56,6 +56,11 @@ def full_weights(draw):
     return a @ a.T + 0.05 * np.eye(3)
 
 
+def _turned(t, phi):
+    """t with its phase advanced by phi."""
+    return ThetaParams(t.theta1, t.theta2, t.theta3 + phi)
+
+
 def trace_gradients(t, povm, k):
     """Reference: p = Tr(rho Pi_x) and dp = Tr(d_i rho Pi_x) on the matrices."""
     rho = state_from_theta(t)
@@ -69,7 +74,7 @@ def trace_gradients(t, povm, k):
 @given(cases())
 def test_bloch_gradients_match_traces(case):
     t, w, phi = case
-    povm = build_optimal_povm(t, w)[0].rotated(phi)
+    povm = build_optimal_povm(_turned(t, phi), w)[0]
     for k in (2, 3):
         p, dp = outcome_gradients(t, povm, k)
         p_ref, dp_ref = trace_gradients(t, povm, k)
@@ -81,7 +86,7 @@ def test_bloch_gradients_match_traces(case):
 @given(cases())
 def test_matrix_round_trip(case):
     t, w, phi = case
-    povm = build_optimal_povm(t, w)[0].rotated(phi)
+    povm = build_optimal_povm(_turned(t, phi), w)[0]
     clone = Povm(list(povm))
     assert clone.labels == povm.labels
     for (_, a), (_, b) in zip(povm, clone):
@@ -103,7 +108,7 @@ def test_validation_rejects_non_psd_element(case, depth):
     # Move depth times the kernel projector of element "1+" onto "1-": the
     # sum stays the identity and "1+" gets the eigenvalue -depth.
     t, w, phi = case
-    elements = dict(build_optimal_povm(t, w)[0].rotated(phi))
+    elements = dict(build_optimal_povm(_turned(t, phi), w)[0])
     kernel = elements["1-"] / np.trace(elements["1-"]).real
     elements["1+"] = elements["1+"] - depth * kernel
     elements["1-"] = elements["1-"] + depth * kernel
@@ -189,11 +194,10 @@ def test_hgm_matches_generic_square_roots(case, w3):
 def test_plan_is_rotation_covariant(case):
     t, w, phi = case
     plan = optimal_povm_plan(t, w)
-    turned = optimal_povm_plan(ThetaParams(t.theta1, t.theta2, t.theta3 + phi), w)
+    turned = optimal_povm_plan(_turned(t, phi), w)
     c, s = np.cos(phi), np.sin(phi)
     rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    for n, m in zip(plan.directions @ rotation.T, turned.directions):
-        assert min(np.max(np.abs(n - m)), np.max(np.abs(n + m))) < 1e-12
+    assert np.max(np.abs(plan.directions @ rotation.T - turned.directions)) < 1e-12
     assert np.max(np.abs(plan.probabilities - turned.probabilities)) < 1e-12
     assert np.max(np.abs(plan.lambdas - turned.lambdas)) < 1e-12 * (1.0 + plan.lambdas[0])
 

@@ -69,6 +69,21 @@ def test_config_validation():
     # mse_from_trials needs two trials: fail before any trial runs
     with pytest.raises(ValueError, match="trials must be at least 2"):
         SimConfig(T, W, "adaptive", n=100, trials=1)
+    # a float n would draw floor(n) copies and scale the MSE by n
+    for n in (1000.5, 1e4, np.float64(100.0), True, "100", None):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            SimConfig(T, W, "single-copy-optimal", n=n, trials=10)
+    for trials in (10.0, 2.5, np.float64(3.0), True):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            SimConfig(T, W, "two-step", n=100, trials=trials)
+    for batch_size in (0, -5, np.int64(0)):
+        with pytest.raises(ValueError, match="batch_size must be at least 1"):
+            SimConfig(T, W, "adaptive", n=100, trials=10, batch_size=batch_size)
+    for batch_size in (2.5, 100.0, True):
+        with pytest.raises(ValueError, match="batch_size must be an integer"):
+            SimConfig(T, W, "adaptive", n=100, trials=10, batch_size=batch_size)
+    cfg = SimConfig(T, W, "adaptive", n=np.int64(100), trials=np.int32(10), batch_size=np.uint8(50))
+    assert (cfg.n, cfg.trials, cfg.batch_size) == (100, 10, 50)
 
 
 @pytest.mark.parametrize("seed", [-1, np.int64(-3), 1.5, 2.0, np.float64(3.0), "3", None, True,
@@ -334,6 +349,52 @@ def test_stacked_mle_matches_per_batch_loop():
     assert converged and want_converged
     # summation order differs, so agreement is to round-off, not bit for bit
     assert np.max(np.abs(got.as_array(3) - want.as_array(3))) < 1e-12
+
+
+@pytest.mark.parametrize("n, batch_size", [(200, 500), (250, 100), (1000, 100)])
+def test_adaptive_measures_n_copies_per_trial(monkeypatch, n, batch_size):
+    # The last batch takes the remainder, so a trial measures n copies also
+    # where batch_size does not divide n or exceeds it.
+    copies = []
+
+    def recording(t, povm, count, rng):
+        copies.append(count)
+        return sample_outcomes(t, povm, count, rng)
+
+    monkeypatch.setattr(simulate, "sample_outcomes", recording)
+    run(SimConfig(T, W, "adaptive", n=n, trials=2, seed=4, batch_size=batch_size))
+    assert sum(copies) == 2 * n
+    assert max(copies) == min(n, batch_size)
+
+
+def test_two_step_measures_the_truth_rotated_by_minus_the_phase_estimate(monkeypatch):
+    # Sampling the phase-0 measurement on the truth rotated by -theta3_hat
+    # is sampling the measurement aimed at theta3_hat on the truth.
+    cfg = SimConfig(ThetaParams(-0.6, 0.2, 0.3), WeightSpec(np.diag([1.0, 3.0])), "two-step",
+                    n=400, trials=6, seed=5)
+    t = cfg.theta_true
+    estimates, states = [], []
+    phase_stage = simulate._phase_stage
+
+    def recording_phase_stage(s, m, rng):
+        out = phase_stage(s, m, rng)
+        estimates.append(out[0])
+        return out
+
+    def recording_sample(state, povm, count, rng):
+        states.append((state, povm))
+        return sample_outcomes(state, povm, count, rng)
+
+    monkeypatch.setattr(simulate, "_phase_stage", recording_phase_stage)
+    monkeypatch.setattr(simulate, "sample_outcomes", recording_sample)
+    run(cfg)
+    assert len(states) == len(estimates) == cfg.trials
+    w2 = cfg.weight.matrix
+    for theta3_hat, (state, povm) in zip(estimates, states):
+        assert (state.theta1, state.theta2) == (t.theta1, t.theta2)
+        assert abs(np.exp(1j * state.theta3) - np.exp(1j * (t.theta3 - theta3_hat))) < 1e-12
+        aimed, _ = build_optimal_povm(ThetaParams(t.theta1, t.theta2, theta3_hat), w2)
+        assert np.max(np.abs(povm.probabilities(state) - aimed.probabilities(t))) < 1e-12
 
 
 def test_adaptive_runs_and_is_sane():

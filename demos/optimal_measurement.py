@@ -35,8 +35,7 @@ print(f"\nlocal unbiasedness residuals: bias {report['bias_residual']:.2e}, "
       f"derivative {report['derivative_residual']:.2e}")
 
 print("\noutcome -> estimate table:")
-for label in povm.labels:
-    est = estimator.estimates[label]
+for label, est in zip(povm.labels, estimator.table):
     print(f"  {label:>2}: theta1_hat {est[0]:+.4f}, theta2_hat {est[1]:+.4f}")
 
 j = classical_fisher(t, povm, 2)

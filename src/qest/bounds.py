@@ -12,6 +12,7 @@ import numpy as np
 
 from .model import bloch_derivatives, bloch_from_theta
 from .fisher import rld_fisher_inverse, sld_fisher_inverse
+from .linalg import symmetric
 
 __all__ = [
     "WeightSpec",
@@ -32,17 +33,6 @@ class InfeasibleMseError(ValueError):
     """Requested phase MSE below the attainable floor g33."""
 
 
-def _check_pd(w, name="weight"):
-    w = np.asarray(w, dtype=float)
-    if not np.all(np.isfinite(w)):
-        raise ValueError(f"{name} matrix entries must be finite")
-    if np.max(np.abs(w - w.T)) > 1e-12:
-        raise ValueError(f"{name} matrix must be symmetric")
-    if np.min(np.linalg.eigvalsh(w)) <= 0:
-        raise ValueError(f"{name} matrix must be positive definite")
-    return 0.5 * (w + w.T)
-
-
 @dataclass(frozen=True)
 class WeightSpec:
     """A positive-definite weight matrix, possibly in block form.
@@ -56,7 +46,9 @@ class WeightSpec:
     w3: float | None = None
 
     def __post_init__(self):
-        m = _check_pd(self.matrix)
+        m = symmetric(self.matrix, name="weight matrix")
+        if np.min(np.linalg.eigvalsh(m)) <= 0:
+            raise ValueError("weight matrix must be positive definite")
         object.__setattr__(self, "matrix", m)
         if self.w3 is not None:
             if m.shape != (2, 2):
@@ -91,14 +83,10 @@ class WeightSpec:
 
 
 def _weight(w, k):
-    if isinstance(w, WeightSpec):
-        if w.k != k:
-            raise ValueError(f"weight is {w.k}x{w.k} but k={k}")
-        return w
-    w = np.asarray(w, dtype=float)
-    if w.shape != (k, k):
-        raise ValueError(f"weight shape {w.shape} does not match k={k}")
-    return WeightSpec(w)
+    w = w if isinstance(w, WeightSpec) else WeightSpec(w)
+    if w.k != k:
+        raise ValueError(f"weight is {w.k}x{w.k} but k={k}")
+    return w
 
 
 def sld_cr_bound(t, k, w):

@@ -11,6 +11,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -137,6 +138,8 @@ def cmd_povm(args):
     t = ThetaParams.parse(args.theta)
     w = _parse_weight(args.weight, 2)
     povm, plan = build_optimal_povm(t, w)
+    if args.estimates_csv:
+        build_optimal_estimator(t, w, povm).estimates_to_csv(args.estimates_csv)
     payload = {
         "povm": json.loads(povm.to_json()),
         "plan": {
@@ -147,8 +150,6 @@ def cmd_povm(args):
     }
     print(json.dumps(_round9(payload)))
     if args.estimates_csv:
-        estimator = build_optimal_estimator(t, w, povm)
-        estimator.estimates_to_csv(args.estimates_csv)
         print(f"estimator table written to {args.estimates_csv}", file=sys.stderr)
     return 0
 
@@ -169,28 +170,30 @@ def cmd_simulate(args):
     w = _weight_spec(args, k)
     seed = int(os.environ.get("QEST_SEED", args.seed))
     grid = sorted({_parse_count(v) for v in args.n.split(",")})
-    results = []
-    for n in grid:
-        cfg = SimConfig(
+    configs = [
+        SimConfig(
             t, w, args.strategy, n, args.trials, seed=seed,
             phase_fraction_exponent=args.exponent, batch_size=args.batch_size,
         )
-        res = run(cfg)
-        gamma = res.diagnostics.get("gamma", float("nan"))
-        results.append(
-            {
-                "n": n,
-                "n_weighted_mse": res.n_times_weighted_mse,
-                "stderr": res.stderr,
-                "gamma": gamma,
-                "strategy": args.strategy,
-                "empirical_mse": res.empirical_mse.tolist(),
-            }
-        )
-        print(f"n={n} done ({args.trials} trials)", file=sys.stderr)
-    print(json.dumps(_round9({"seed": seed, "results": results})))
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
+        for n in grid
+    ]
+    # opened before the first run, so that an unwritable path fails first
+    with open(args.csv, "w", newline="") if args.csv else nullcontext() as fh:
+        results = []
+        for cfg in configs:
+            res = run(cfg)
+            results.append(
+                {
+                    "n": cfg.n,
+                    "n_weighted_mse": res.n_times_weighted_mse,
+                    "stderr": res.stderr,
+                    "gamma": res.diagnostics.get("gamma", float("nan")),
+                    "strategy": args.strategy,
+                    "empirical_mse": res.empirical_mse.tolist(),
+                }
+            )
+            print(f"n={cfg.n} done ({args.trials} trials)", file=sys.stderr)
+        if fh is not None:
             writer = csv.writer(fh)
             writer.writerow(["n", "n_weighted_mse", "stderr", "gamma", "strategy"])
             for row in results:
@@ -198,6 +201,8 @@ def cmd_simulate(args):
                     [row["n"], _fmt(row["n_weighted_mse"]), _fmt(row["stderr"]),
                      _fmt(row["gamma"]), row["strategy"]]
                 )
+    print(json.dumps(_round9({"seed": seed, "results": results})))
+    if args.csv:
         print(f"per-n table written to {args.csv}", file=sys.stderr)
     return 0
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import schur_complement
+from .linalg import symmetric
 from .model import (
     SIGMA,
     SIGMA0,
@@ -191,7 +191,13 @@ def classical_fisher(t, povm, k=3):
 def effective_fisher(j):
     """Effective 2x2 Fisher matrix for the interest block of a 3x3 matrix.
 
-    Schur complement of the nuisance entry; its inverse is the interest
-    block of j^{-1} and dominates (J_II)^{-1}.
+    The Schur complement J_II - J_IN J_NN^{-1} J_NI of the nuisance entry,
+    for I = {1,2}, N = {3}; its inverse is the interest block of j^{-1} and
+    dominates (J_II)^{-1}.
     """
-    return schur_complement(j)
+    j = symmetric(j, 3)
+    jnn = j[2, 2]
+    if abs(jnn) < 1e-14:
+        raise np.linalg.LinAlgError("nuisance block J_NN is singular")
+    jin = j[:2, 2]
+    return j[:2, :2] - np.outer(jin, jin) / jnn

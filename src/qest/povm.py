@@ -185,24 +185,16 @@ class QuantumEstimator:
     """A POVM plus an outcome -> estimate map, locally unbiased at anchor."""
 
     povm: Povm
-    estimates: dict  # label -> k-vector
+    table: np.ndarray  # (outcomes, k): row x is the estimate for outcome x
     anchor: ThetaParams
 
-    @property
-    def k(self):
-        return len(next(iter(self.estimates.values())))
-
-    def estimate_matrix(self):
-        """Estimates as an array aligned with the POVM's label order."""
-        return np.array([self.estimates[label] for label in self.povm.labels])
-
     def estimates_to_csv(self, path):
-        k = self.k
+        k = self.table.shape[1]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["label"] + [f"theta{i + 1}_hat" for i in range(k)])
-            for label in self.povm.labels:
-                writer.writerow([label] + [f"{v!r}" for v in self.estimates[label]])
+            for label, row in zip(self.povm.labels, self.table.tolist()):
+                writer.writerow([label] + [repr(v) for v in row])
 
 
 def build_optimal_estimator(t, w, povm, k=2):
@@ -214,11 +206,8 @@ def build_optimal_estimator(t, w, povm, k=2):
     jinv = np.linalg.inv(j)
     p, dp = outcome_gradients(t, povm, k)
     theta = t.as_array(k)
-    estimates = {
-        label: theta.copy() if px < 1e-14 else theta + jinv @ (grad / px)
-        for label, px, grad in zip(povm.labels, p, dp)
-    }
-    return QuantumEstimator(povm, estimates, t)
+    rows = [theta if px < 1e-14 else theta + jinv @ (grad / px) for px, grad in zip(p, dp)]
+    return QuantumEstimator(povm, np.array(rows), t)
 
 
 def verify_locally_unbiased(estimator):
@@ -227,9 +216,9 @@ def verify_locally_unbiased(estimator):
     Returns {"bias_residual", "derivative_residual", "passed"}; passing
     means both residuals are below 1e-9.  Diagnostic only, never raises.
     """
-    t, k = estimator.anchor, estimator.k
+    t, est = estimator.anchor, estimator.table
+    k = est.shape[1]
     p, dp = outcome_gradients(t, estimator.povm, k)
-    est = estimator.estimate_matrix()
     bias_residual = float(np.max(np.abs(p @ est - t.as_array(k))))
     derivative_residual = float(np.max(np.abs(est.T @ dp - np.eye(k))))
     return {

@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import gamma_factor
 from .fisher import rld_fisher_inverse, sld_fisher_inverse
+from .linalg import symmetric
 
 __all__ = [
     "RegionVerdict",
@@ -40,13 +42,9 @@ class RegionVerdict:
         }
 
 
-def _as_sym(v, dim):
-    v = np.asarray(v, dtype=float)
-    if v.shape != (dim, dim):
-        raise ValueError(f"expected a {dim}x{dim} matrix, got shape {v.shape}")
-    if not np.allclose(v, v.T, atol=1e-10, rtol=0.0):
-        raise ValueError("candidate MSE matrix must be symmetric")
-    return 0.5 * (v + v.T)
+def _candidate(v, dim):
+    # read from CSV written with 9 significant digits: asymmetry up to 1e-10
+    return symmetric(v, dim, 1e-10, "candidate MSE matrix")
 
 
 def _verdict(margins):
@@ -55,21 +53,23 @@ def _verdict(margins):
     return RegionVerdict(member, margins, boundary)
 
 
-def in_region_D(v, t):
-    """Nagaoka MSE region: det(V - G^{-1}) >= det G^{-1} with V > G^{-1}."""
-    v = _as_sym(v, 2)
-    ginv = sld_fisher_inverse(t, 2)
-    diff = v - ginv
-    margins = {
+def _nagaoka_margins(v2, ginv):
+    """Slacks of V2 > ginv and det(V2 - ginv) >= det ginv."""
+    diff = v2 - ginv
+    return {
         "eigen_slack": float(np.min(np.linalg.eigvalsh(diff))),
         "det_slack": float(np.linalg.det(diff) - np.linalg.det(ginv)),
     }
-    return _verdict(margins)
+
+
+def in_region_D(v, t):
+    """Nagaoka MSE region: det(V - G^{-1}) >= det G^{-1} with V > G^{-1}."""
+    return _verdict(_nagaoka_margins(_candidate(v, 2), sld_fisher_inverse(t, 2)))
 
 
 def in_region_D_GM(v, t):
     """Gill-Massar form of the same region: Tr(G^{-1} V^{-1}) <= 1, V > G^{-1}."""
-    v = _as_sym(v, 2)
+    v = _candidate(v, 2)
     if np.min(np.linalg.eigvalsh(v)) <= 0:
         raise ValueError("candidate must be positive definite for the GM form")
     ginv = sld_fisher_inverse(t, 2)
@@ -87,25 +87,18 @@ def in_region_D3(v, t):
     the 2x2 interest block to satisfy the Nagaoka region conditions
     scaled by gamma.
     """
-    v = _as_sym(v, 3)
+    v = _candidate(v, 3)
     g33 = 1.0 / (t.theta1 * t.theta1)
     v33_slack = float(v[2, 2] - g33)
     if v33_slack <= BOUNDARY_TOL:
         return RegionVerdict(False, {"v33_slack": v33_slack})
-    gamma = v[2, 2] / (v[2, 2] - g33)
-    ginv = gamma * sld_fisher_inverse(t, 2)
-    diff = v[:2, :2] - ginv
-    margins = {
-        "v33_slack": v33_slack,
-        "eigen_slack": float(np.min(np.linalg.eigvalsh(diff))),
-        "det_slack": float(np.linalg.det(diff) - np.linalg.det(ginv)),
-    }
-    return _verdict(margins)
+    ginv = gamma_factor(v[2, 2], g33) * sld_fisher_inverse(t, 2)
+    return _verdict({"v33_slack": v33_slack, **_nagaoka_margins(v[:2, :2], ginv)})
 
 
 def in_region_SLD3(v, t):
     """Region allowed by the (unattainable) SLD CR bound for k=3."""
-    v = _as_sym(v, 3)
+    v = _candidate(v, 3)
     ginv = sld_fisher_inverse(t, 2)
     g33 = 1.0 / (t.theta1 * t.theta1)
     margins = {
@@ -121,18 +114,15 @@ def in_region_H(v, t):
     k=2: V >= G^{-1}.  k=3: v33 > g33, V2 > G^{-1}, and
     V2 >= gamma G^{-1} - (gamma - 1) Gt^{-1}.
     """
-    v = np.asarray(v, dtype=float)
-    if v.shape == (2, 2):
-        v = _as_sym(v, 2)
-        ginv = sld_fisher_inverse(t, 2)
-        margins = {"eigen_slack": float(np.min(np.linalg.eigvalsh(v - ginv)))}
-        return _verdict(margins)
-    v = _as_sym(v, 3)
+    if np.shape(v) == (2, 2):
+        diff = _candidate(v, 2) - sld_fisher_inverse(t, 2)
+        return _verdict({"eigen_slack": float(np.min(np.linalg.eigvalsh(diff)))})
+    v = _candidate(v, 3)
     g33 = 1.0 / (t.theta1 * t.theta1)
     v33_slack = float(v[2, 2] - g33)
     if v33_slack <= BOUNDARY_TOL:
         return RegionVerdict(False, {"v33_slack": v33_slack})
-    gamma = v[2, 2] / (v[2, 2] - g33)
+    gamma = gamma_factor(v[2, 2], g33)
     ginv = sld_fisher_inverse(t, 2)
     gtinv = rld_fisher_inverse(t, 2).real
     threshold = gamma * ginv - (gamma - 1.0) * gtinv
@@ -157,7 +147,7 @@ def lemma1_equivalence_check(c, v, trials=1000, seed=0):
     """
     if not c > 0:
         raise ValueError("c must be positive")
-    v = _as_sym(v, 2)
+    v = _candidate(v, 2)
     eigs = np.linalg.eigvalsh(v)
     exact_member = bool(np.min(eigs) > 0 and np.linalg.det(v) >= c * c - 1e-12)
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bounds import WeightSpec
+from .bounds import WeightSpec, gamma_factor
 from .fisher import bloch_outcome_gradients, classical_fisher
 from .model import ThetaParams, bloch_derivatives, bloch_from_theta
 from .povm import Povm, build_optimal_estimator, build_optimal_povm, optimal_povm_plan
@@ -104,6 +104,9 @@ class SimConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.n < 4:
             raise ValueError("n must be at least 4")
+        # numpy's multinomial and binomial take n as a C long
+        if self.n > np.iinfo(np.int64).max:
+            raise ValueError(f"n must be at most 2^63 - 1, got {self.n}")
         if self.trials < 2:
             raise ValueError("trials must be at least 2")
         if self.batch_size < 1:
@@ -294,7 +297,7 @@ def run_single_copy_optimal(cfg):
     t = cfg.theta_true
     w2 = _interest_weight(cfg.weight)
     povm, _ = build_optimal_povm(t, w2)
-    est_matrix = build_optimal_estimator(t, w2, povm).estimate_matrix()
+    est_matrix = build_optimal_estimator(t, w2, povm).table
     p = povm.probabilities(t)
     p = p / np.sum(p)
     streams = TrialStreams(cfg.seed, range(cfg.trials))
@@ -392,7 +395,7 @@ def run_two_step(cfg):
     s = bloch_from_theta(t)
     anchor = ThetaParams(t.theta1, t.theta2, 0.0)
     measurement, _ = build_optimal_povm(anchor, w2)
-    est_matrix = build_optimal_estimator(anchor, w2, measurement).estimate_matrix()
+    est_matrix = build_optimal_estimator(anchor, w2, measurement).table
     streams = TrialStreams(cfg.seed, range(cfg.trials))
     counts = np.empty((cfg.trials, len(est_matrix)), dtype=np.int64)
     v33_hats = np.empty(cfg.trials)
@@ -409,7 +412,7 @@ def run_two_step(cfg):
     trial_means = counts @ est_matrix / n2
     trial_means[:, 0] *= 1.0 + 0.5 * v33_hats
     v33_emp = float(np.mean(theta3_errors**2))
-    gamma = v33_emp / (v33_emp - g33 / cfg.n) if v33_emp > g33 / cfg.n else math.inf
+    gamma = gamma_factor(v33_emp, g33 / cfg.n) if v33_emp > g33 / cfg.n else math.inf
     diag = {
         "strategy": cfg.strategy,
         "phase_copies": m,

@@ -65,6 +65,16 @@ def test_weight_spec_rejects_non_finite(bad):
         WeightSpec.block(np.eye(2), bad)
 
 
+def test_weight_spec_symmetry_tolerance_is_1e_12():
+    w = np.array([[2.0, 0.5], [0.5, 1.0]])
+    spec = WeightSpec(w + [[0.0, 5e-13], [0.0, 0.0]])
+    assert np.max(np.abs(spec.matrix - spec.matrix.T)) == 0.0
+    with pytest.raises(ValueError, match="weight matrix must be symmetric"):
+        WeightSpec(w + [[0.0, 2e-12], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="weight matrix must be symmetric"):
+        WeightSpec.block(w + [[0.0, 2e-12], [0.0, 0.0]], 1.0)
+
+
 def test_reference_values_k2():
     w = WeightSpec.identity(2)
     assert sld_cr_bound(T_REF, 2, w) == pytest.approx(1.5, abs=1e-12)

@@ -148,6 +148,34 @@ def test_region_verdict(tmp_path):
     assert json.loads(out)["member"] is False
 
 
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+@pytest.mark.parametrize("region", ["D", "D_GM", "D3", "D_SLD3", "H"])
+def test_non_finite_candidate_is_one_error_line(tmp_path, bad, region):
+    path = tmp_path / "cand.csv"
+    rows = ["{},0,0", "0,1,0", "0,0,50"] if region in ("D3", "D_SLD3") else ["{},0", "0,1"]
+    path.write_text("\n".join(rows).format(bad) + "\n")
+    code, out, err = run_cli(
+        ["region", "--theta", "0.5,0.3,0.7", "--candidate", str(path), "--region", region]
+    )
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: candidate MSE matrix entries must be finite"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["povm", "--estimates-csv"],
+        ["simulate", "--n", "1000", "--trials", "2", "--csv"],
+    ],
+)
+def test_unwritable_output_file_is_one_error_line(tmp_path, argv):
+    missing = tmp_path / "missing" / "out.csv"
+    code, out, err = run_cli(argv + [str(missing), "--theta", "0.5,0.3,0.7"])
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: [Errno 2]")
+
+
 def test_simulate_json_and_csv(tmp_path):
     csv_path = tmp_path / "sim.csv"
     code, out, _ = run_cli(
@@ -204,6 +232,7 @@ def test_negative_seed_is_one_error_line():
         (["--n", "1000.7"], "error: n must be a whole number, got '1000.7'"),
         (["--n", "100,1e300000"], "error: n must be a whole number, got '1e300000'"),
         (["--n", "ten"], "error: could not convert string to float: 'ten'"),
+        (["--n", "1e30"], f"error: n must be at most 2^63 - 1, got {int(1e30)}"),
         (["--batch-size", "0"], "error: batch_size must be at least 1"),
         (["--batch-size", "-5"], "error: batch_size must be at least 1"),
     ],

@@ -186,6 +186,27 @@ def test_effective_fisher_is_schur_complement():
         )
 
 
+def test_effective_fisher_block_formula():
+    j = np.array([[2.0, 0.0, 1.0], [0.0, 2.5, 0.5], [1.0, 0.5, 2.0]])
+    expected = j[:2, :2] - np.outer(j[:2, 2], j[2, :2]) / j[2, 2]
+    assert np.allclose(effective_fisher(j), expected, atol=1e-14)
+
+
+def test_effective_fisher_example():
+    j = np.diag([1.5, 2.0, 3.0])
+    assert np.allclose(effective_fisher(j), np.diag([1.5, 2.0]), atol=1e-14)
+
+
+def test_effective_fisher_equals_inverse_block():
+    # The Schur complement is the inverse of the top-left block of J^{-1}.
+    rng = np.random.default_rng(3)
+    for _ in range(30):
+        a = rng.normal(size=(3, 3))
+        j = a @ a.T + 0.1 * np.eye(3)
+        s = effective_fisher(j)
+        assert np.allclose(np.linalg.inv(s), np.linalg.inv(j)[:2, :2], atol=1e-9)
+
+
 def test_effective_fisher_equals_block_for_this_model():
     # The model's SLD metric is block diagonal in (interest, phase), so the
     # effective information loses nothing.

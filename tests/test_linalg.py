@@ -1,26 +1,9 @@
-"""Symmetric-matrix kernels: eigendecomposition, sqrt, fidelity, Schur."""
+"""Symmetric-matrix kernels: the symmetric check, PSD sqrt, fidelity."""
 
 import numpy as np
 import pytest
 
-from qest.linalg import (
-    NotPSDError,
-    fidelity,
-    psd_sqrt,
-    schur_complement,
-    sym_eig,
-)
-
-
-def test_sym_eig_descending_and_reconstructs():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        a = rng.normal(size=(3, 3))
-        m = a + a.T
-        lam, u = sym_eig(m)
-        assert np.all(np.diff(lam) <= 0)
-        assert np.allclose(u @ np.diag(lam) @ u.T, m, atol=1e-12)
-        assert np.allclose(u.T @ u, np.eye(3), atol=1e-12)
+from qest.linalg import NotPSDError, fidelity, psd_sqrt, symmetric
 
 
 def test_psd_sqrt_squares_back():
@@ -67,22 +50,22 @@ def test_fidelity_symmetric_in_arguments():
         assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-9)
 
 
-def test_schur_complement_block_formula():
-    j = np.array([[2.0, 0.0, 1.0], [0.0, 2.5, 0.5], [1.0, 0.5, 2.0]])
-    expected = j[:2, :2] - np.outer(j[:2, 2], j[2, :2]) / j[2, 2]
-    assert np.allclose(schur_complement(j), expected, atol=1e-14)
+def test_psd_sqrt_symmetry_tolerance_is_1e_12():
+    m = np.array([[2.0, 0.5], [0.5, 1.0]])
+    psd_sqrt(m + [[0.0, 5e-13], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="matrix must be symmetric"):
+        psd_sqrt(m + [[0.0, 2e-12], [0.0, 0.0]])
 
 
-def test_schur_complement_example():
-    j = np.diag([1.5, 2.0, 3.0])
-    assert np.allclose(schur_complement(j), np.diag([1.5, 2.0]), atol=1e-14)
-
-
-def test_schur_complement_equals_inverse_block():
-    # The Schur complement is the inverse of the top-left block of J^{-1}.
-    rng = np.random.default_rng(3)
-    for _ in range(30):
-        a = rng.normal(size=(3, 3))
-        j = a @ a.T + 0.1 * np.eye(3)
-        s = schur_complement(j)
-        assert np.allclose(np.linalg.inv(s), np.linalg.inv(j)[:2, :2], atol=1e-9)
+def test_symmetric_returns_the_symmetric_part_or_names_the_fault():
+    m = [[1.0, 1.0], [0.0, 1.0]]
+    assert np.array_equal(symmetric(m, 2, tol=1.0), [[1.0, 0.5], [0.5, 1.0]])
+    with pytest.raises(ValueError, match=r"^w must be symmetric$"):
+        symmetric(m, 2, name="w")
+    with pytest.raises(ValueError, match=r"^w must be square, got shape \(2, 3\)$"):
+        symmetric(np.ones((2, 3)), name="w")
+    with pytest.raises(ValueError, match=r"^w must be 3x3, got shape \(2, 2\)$"):
+        symmetric(np.eye(2), 3, name="w")
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"^w entries must be finite$"):
+            symmetric([[1.0, bad], [bad, 1.0]], name="w")

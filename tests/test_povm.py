@@ -151,8 +151,8 @@ def test_rotation_covariance():
         assert povm_phi.labels == povm_zero.labels
         assert np.max(np.abs(povm_phi.axes - povm_zero.axes @ rotation.T)) < 1e-12
         assert np.max(np.abs(plan_phi.probabilities - plan_zero.probabilities)) < 1e-12
-        table_phi = build_optimal_estimator(at_phi, w, povm_phi).estimate_matrix()
-        table_zero = build_optimal_estimator(at_zero, w, povm_zero).estimate_matrix()
+        table_phi = build_optimal_estimator(at_phi, w, povm_phi).table
+        table_zero = build_optimal_estimator(at_zero, w, povm_zero).table
         assert np.max(np.abs(table_phi - table_zero)) < 1e-12
         # two-step: the phase-0 measurement on the truth rotated by -phi
         turned = ThetaParams(t.theta1, t.theta2, t.theta3 - phi)
@@ -196,6 +196,9 @@ def test_estimator_csv(tmp_path):
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "label,theta1_hat,theta2_hat"
     assert len(rows) == 1 + len(povm)
+    # each cell is the shortest round-trip text of its estimate
+    for row, label, estimate in zip(rows[1:], povm.labels, est.table):
+        assert row.split(",") == [label] + [repr(float(v)) for v in estimate]
 
 
 def test_phase_perturbed_povm_zero_delta():

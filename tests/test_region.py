@@ -168,3 +168,35 @@ def test_lemma1_analytic_witness_is_tight():
 def test_rejects_asymmetric_candidate():
     with pytest.raises(ValueError):
         in_region_D(np.array([[1.0, 0.5], [0.0, 1.0]]), T)
+
+
+PREDICATES_2 = (in_region_D, in_region_D_GM, in_region_H)
+PREDICATES_3 = (in_region_D3, in_region_SLD3, in_region_H)
+
+
+def test_candidate_symmetry_tolerance_is_1e_10():
+    # CSV candidates carry 9 significant digits; weights are held to 1e-12.
+    for predicates, v in ((PREDICATES_2, 2.0 * np.eye(2)), (PREDICATES_3, 50.0 * np.eye(3))):
+        skew = np.zeros_like(v)
+        skew[0, 1] = 1.0
+        for predicate in predicates:
+            predicate(v + 5e-11 * skew, T)
+            with pytest.raises(ValueError, match="candidate MSE matrix must be symmetric"):
+                predicate(v + 2e-10 * skew, T)
+    lemma1_equivalence_check(1.0, [[2.0, 5e-11], [0.0, 2.0]])
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_candidate_entries_must_be_finite(bad):
+    for predicates, dim in ((PREDICATES_2, 2), (PREDICATES_3, 3)):
+        diagonal, off_diagonal = 2.0 * np.eye(dim), 2.0 * np.eye(dim)
+        diagonal[0, 0] = bad
+        off_diagonal[0, 1] = off_diagonal[1, 0] = bad
+        for predicate in predicates:
+            for v in (diagonal, off_diagonal):
+                with pytest.raises(
+                    ValueError, match="^candidate MSE matrix entries must be finite$"
+                ):
+                    predicate(v, T)
+    with pytest.raises(ValueError, match="finite"):
+        lemma1_equivalence_check(1.0, np.diag([bad, 1.0]))

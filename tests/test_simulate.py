@@ -82,6 +82,11 @@ def test_config_validation():
     for batch_size in (2.5, 100.0, True):
         with pytest.raises(ValueError, match="batch_size must be an integer"):
             SimConfig(T, W, "adaptive", n=100, trials=10, batch_size=batch_size)
+    # numpy's samplers take n as a C long
+    for n in (2**63, 10**30):
+        with pytest.raises(ValueError, match="n must be at most 2\\^63 - 1"):
+            SimConfig(T, W, "two-step", n=n, trials=10)
+    assert SimConfig(T, W, "two-step", n=2**63 - 1, trials=10).n == 2**63 - 1
     cfg = SimConfig(T, W, "adaptive", n=np.int64(100), trials=np.int32(10), batch_size=np.uint8(50))
     assert (cfg.n, cfg.trials, cfg.batch_size) == (100, 10, 50)
 

@@ -232,9 +232,9 @@ def test_negative_seed_is_one_error_line():
         (["--n", "1000.7"], "error: n must be a whole number, got '1000.7'"),
         (["--n", "100,1e300000"], "error: n must be a whole number, got '1e300000'"),
         (["--n", "ten"], "error: could not convert string to float: 'ten'"),
-        (["--n", "1e30"], f"error: n must be at most 2^63 - 1, got {int(1e30)}"),
         (["--batch-size", "0"], "error: batch_size must be at least 1"),
         (["--batch-size", "-5"], "error: batch_size must be at least 1"),
+        (["--n", "1e30"], f"error: n must be at most 2^63 - 1, got {int(1e30)}"),
     ],
 )
 def test_bad_count_is_one_error_line(flags, message):

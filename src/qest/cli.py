@@ -190,6 +190,8 @@ def cmd_simulate(args):
                     "gamma": res.diagnostics.get("gamma", float("nan")),
                     "strategy": args.strategy,
                     "empirical_mse": res.empirical_mse.tolist(),
+                    "diagnostics": {k: v for k, v in res.diagnostics.items()
+                                    if isinstance(v, int)},
                 }
             )
             print(f"n={cfg.n} done ({args.trials} trials)", file=sys.stderr)

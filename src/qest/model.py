@@ -7,6 +7,7 @@ with t1^2 + t2^2 < 1 and t1 != 0 (full rank, nonvanishing off-diagonal).
 The phase t3 is the nuisance parameter.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,8 @@ class ThetaParams:
     theta3: float = 0.0
 
     def __post_init__(self):
-        t1, t2 = float(self.theta1), float(self.theta2)
-        if not np.isfinite([t1, t2, self.theta3]).all():
+        t1, t2, t3 = float(self.theta1), float(self.theta2), float(self.theta3)
+        if not (math.isfinite(t1) and math.isfinite(t2) and math.isfinite(t3)):
             raise ValueError("theta components must be finite")
         if t1 * t1 + t2 * t2 >= 1.0:
             raise ValueError(
@@ -58,7 +59,7 @@ class ThetaParams:
             raise ValueError("theta1 must be nonzero (the model excludes theta1 = 0)")
         object.__setattr__(self, "theta1", t1)
         object.__setattr__(self, "theta2", t2)
-        object.__setattr__(self, "theta3", float(self.theta3) % (2.0 * np.pi))
+        object.__setattr__(self, "theta3", t3 % (2.0 * math.pi))
 
     @classmethod
     def parse(cls, text):

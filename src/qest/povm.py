@@ -106,9 +106,9 @@ class Povm:
         Raises if one is below -1e-12 (not round-off); clips the rest at 0.
         """
         p = 0.5 * self.weights * (1.0 + self.axes @ bloch_from_theta(t))
-        if np.min(p) < -1e-12:
-            raise ValueError(f"negative outcome probability {np.min(p):.3e}")
-        return np.clip(p, 0.0, None)
+        if p.min() < -1e-12:
+            raise ValueError(f"negative outcome probability {p.min():.3e}")
+        return p.clip(0.0, None)
 
     def to_json(self):
         """JSON text: list of {label, matrix: [[re, im] x 4]} (row-major)."""

@@ -143,44 +143,59 @@ _MASK128 = (1 << 128) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
+def _hash_constants(init, mult, count):
+    """init, then each times mult mod 2^32: count + 1 hash constants, as a uint64 column."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint64)[:, None]
+
+
 def _seed_sequence_words(entropy):
     """``SeedSequence(column).generate_state(4, np.uint64)`` for each column of entropy.
 
     entropy: a (words, columns) uint64 array of 32-bit entropy words, least
-    significant word of each integer first.  Returns the four uint64 output
-    words, each an array over the columns.  The hash works mod 2^32 in
+    significant word of each integer first.  Returns a (4, columns) uint64
+    array, the four output words of each column.  The hash works mod 2^32 in
     uint64 arrays: every product fits in 64 bits before it is reduced.
-    """
-    const = _INIT_A
 
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * _MULT_A & _MASK32
-        value = value * const & _MASK32
+    The k-th hashmix call xors its value with hash constant k and multiplies
+    it by constant k + 1.  The constants do not depend on the data, and the
+    calls of one stage that feed different pool words are independent, so
+    each stage is one pass over a (rows, columns) array, with its constants
+    as a column broadcast against the data.
+    """
+    # 4 hashmix calls fill the pool, 3 mix each pool word into the others,
+    # and 4 mix in each further entropy word
+    const = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * max(len(entropy), _POOL_SIZE))
+
+    def hashmix(value, k, rows):
+        value = value ^ const[k:k + rows]
+        value = value * const[k + 1:k + rows + 1] & _MASK32
         return value ^ value >> 16
 
     def mix(x, y):
         result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
         return result ^ result >> 16
 
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    pool = np.zeros((_POOL_SIZE, entropy.shape[1]), dtype=np.uint64)
+    pool[:len(entropy)] = entropy[:_POOL_SIZE]
+    pool = hashmix(pool, 0, _POOL_SIZE)
+    k = _POOL_SIZE
     for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], k, _POOL_SIZE - 1))
+        k += _POOL_SIZE - 1
     for src in range(_POOL_SIZE, len(entropy)):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
-    const = _INIT_B
-    halves = []
-    for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ const
-        const = const * _MULT_B & _MASK32
-        value = value * const & _MASK32
-        halves.append(value ^ value >> 16)
-    return [halves[i] | halves[i + 1] << 32 for i in range(0, 8, 2)]
+        pool = mix(pool, hashmix(entropy[src], k, _POOL_SIZE))
+        k += _POOL_SIZE
+    # the output hashes pool words 0-3 twice over, with constants 0-8 of
+    # the second sequence; output word i joins halves 2i and 2i + 1
+    const = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    value = pool ^ const[:-1].reshape(2, _POOL_SIZE, 1)
+    value = value * const[1:].reshape(2, _POOL_SIZE, 1) & _MASK32
+    halves = (value ^ value >> 16).reshape(_POOL_SIZE, 2, -1)
+    return halves[:, 0] | halves[:, 1] << 32
 
 
 def _int_words(n):
@@ -242,6 +257,13 @@ class TrialStreams:
 
 @dataclass(frozen=True)
 class SimResult:
+    """The empirical MSE of a run, its weighted trace and stderr, and diagnostics.
+
+    diagnostics holds the strategy's own entries; its int values are the
+    run's counters (copies spent on the phase, redraws, fallbacks, fits that
+    did not converge).
+    """
+
     empirical_mse: np.ndarray
     weighted_mse: float
     n_times_weighted_mse: float
@@ -252,7 +274,7 @@ class SimResult:
 def sample_outcomes(t, povm, n, rng):
     """Multinomial outcome counts from n copies measured with the Povm at t."""
     p = povm.probabilities(t)
-    return rng.multinomial(n, p / np.sum(p))
+    return rng.multinomial(n, p / p.sum())
 
 
 def mse_from_trials(estimates, truth, weight, n=1):
@@ -392,7 +414,8 @@ def run_two_step(cfg):
     m = int(cfg.n ** cfg.phase_fraction_exponent)
     n2 = cfg.n - m
     g33 = 1.0 / (t.theta1 * t.theta1)
-    s = bloch_from_theta(t)
+    # as Python floats: the phase stage does scalar arithmetic on them
+    s = bloch_from_theta(t).tolist()
     anchor = ThetaParams(t.theta1, t.theta2, 0.0)
     measurement, _ = build_optimal_povm(anchor, w2)
     est_matrix = build_optimal_estimator(anchor, w2, measurement).table

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 import qest
-from qest.bounds import nagaoka_bound
+from qest.bounds import WeightSpec, nagaoka_bound
 from qest.cli import main
 from qest.model import ThetaParams, bloch_derivatives, bloch_from_theta
+from qest.simulate import SimConfig, run
 
 
 def run_cli(argv, env=None, monkeypatch=None):
@@ -195,6 +196,26 @@ def test_simulate_json_and_csv(tmp_path):
     rows = list(csv.reader(csv_path.open()))
     assert rows[0] == ["n", "n_weighted_mse", "stderr", "gamma", "strategy"]
     assert float(rows[1][1]) == pytest.approx(row["n_weighted_mse"], rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "strategy, counters",
+    [("two-step", ["phase_copies", "resampled_trials", "low_visibility_trials"]),
+     ("adaptive", ["nonconverged_batches"])],
+)
+def test_simulate_prints_the_run_counters(strategy, counters):
+    code, out, _ = run_cli(
+        ["simulate", "--theta", "0.6,0,0.3", "--nuisance", "known", "--strategy", strategy,
+         "--n", "100,200", "--trials", "4", "--seed", "1", "--batch-size", "20"]
+    )
+    assert code == 0
+    for row in json.loads(out)["results"]:
+        cfg = SimConfig(ThetaParams(0.6, 0.0, 0.3), WeightSpec.identity(2), strategy, row["n"],
+                        4, seed=1, batch_size=20)
+        diagnostics = run(cfg).diagnostics
+        assert row["diagnostics"] == {name: diagnostics[name] for name in counters}
+        assert all(type(v) is int for v in row["diagnostics"].values())
+        assert any(row["diagnostics"].values())
 
 
 def test_simulate_seed_env_override(monkeypatch):

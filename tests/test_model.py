@@ -36,6 +36,23 @@ def test_rejects_outside_unit_disk():
         ThetaParams(0.8, 0.7, 0.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_rejects_non_finite_component(index, value):
+    components = [0.5, 0.2, 0.3]
+    components[index] = value
+    with pytest.raises(ValueError, match="^theta components must be finite$"):
+        ThetaParams(*components)
+
+
+def test_numpy_and_int_components_keep_their_values():
+    t = ThetaParams(np.float64(0.5), 0, np.int64(7))
+    assert (t.theta1, t.theta2, t.theta3) == (0.5, 0.0, 7 % (2.0 * np.pi))
+    assert all(type(v) is float for v in (t.theta1, t.theta2, t.theta3))
+    t = ThetaParams(np.float32(0.1), np.float64(-0.3), np.float64(-0.1))
+    assert (t.theta1, t.theta2, t.theta3) == (float(np.float32(0.1)), -0.3, -0.1 % (2.0 * np.pi))
+
+
 def test_rejects_zero_theta1():
     with pytest.raises(ValueError, match="theta1 must be nonzero"):
         ThetaParams(0.0, 0.5, 0.0)

@@ -212,6 +212,53 @@ def test_trial_streams_across_the_32_bit_word_boundary():
         assert streams.load(trial).bit_generator.state == want
 
 
+@pytest.mark.parametrize("seed", [2**128, 2**200 + 12345, 2**2000 + 3],
+                         ids=["2^128", "2^200+12345", "2^2000+3"])
+def test_trial_streams_for_seeds_longer_than_128_bits(seed):
+    # Seeds of 5 to 63 entropy words, with trials of one and two words.
+    trials = range(2**32 - 2, 2**32 + 2)
+    for streams_trials in (range(3), trials):
+        streams = TrialStreams(seed, streams_trials)
+        for trial in streams_trials:
+            want = np.random.default_rng((seed, trial)).bit_generator.state
+            assert streams.load(trial).bit_generator.state == want
+
+
+CORRELATED = WeightSpec(np.array([[1.0, 0.4], [0.4, 2.0]]))
+BLOCK = WeightSpec.block([[1.0, 0.3], [0.3, 1.5]], 0.7)
+
+
+@pytest.mark.parametrize(
+    "theta, weight, strategy, n, trials, seed, exponent, batch_size, n_mse, stderr",
+    [
+        pytest.param((0.6, 0.0, 0.3), W, "single-copy-optimal", 100, 200, 3, 0.5, 100,
+                     3.3171525000000006, 0.2404695560354118, id="single-copy"),
+        pytest.param((-0.4, 0.3, 2.0), BLOCK, "single-copy-optimal", 1000, 100,
+                     2**200 + 12345, 0.5, 100, 4.708123570100489, 0.46397969022083935,
+                     id="single-copy-mirrored-block"),
+        pytest.param((-0.6, 0.2, 0.3), CORRELATED, "two-step", 1000, 100, 2**64 + 3, 2 / 3,
+                     100, 6.881532831638923, 0.6717060900729614,
+                     id="two-step-mirrored-correlated"),
+        pytest.param((0.5, -0.3, 4.0), BLOCK, "two-step", 10**5, 100, 0, 0.5, 100,
+                     37.41050674787082, 27.802233349816397, id="two-step-1e5-block"),
+        pytest.param((0.7, 0.1, 1.0), W, "adaptive", 300, 3, 5, 0.5, 100,
+                     2.974370536956947, 1.0640700001733916, id="adaptive"),
+        pytest.param((-0.5, -0.2, 5.0), CORRELATED, "adaptive", 250, 2, 2**40 + 7, 0.5, 64,
+                     3.2255216116318, 0.8258937794550818, id="adaptive-mirrored-correlated"),
+    ],
+)
+def test_pinned_seeded_results(theta, weight, strategy, n, trials, seed, exponent, batch_size,
+                               n_mse, stderr):
+    # Recorded values: any change in the draws or their order moves them by
+    # far more than 1e-12; platform rounding does not.  A change meant to
+    # alter the draws records them again.
+    cfg = SimConfig(ThetaParams(*theta), weight, strategy, n, trials, seed=seed,
+                    phase_fraction_exponent=exponent, batch_size=batch_size)
+    result = run(cfg)
+    assert result.n_times_weighted_mse == pytest.approx(n_mse, rel=1e-12, abs=0.0)
+    assert result.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
+
+
 def test_determinism_bit_identical():
     cfg = SimConfig(T, W, "single-copy-optimal", n=50, trials=200, seed=9)
     a = run(cfg)

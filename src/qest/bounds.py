@@ -3,16 +3,18 @@
 Every bound is a function of the model point, the parameter count k,
 and a weight matrix.  For k=3 a block weight diag(W2, w3) unlocks the
 closed-form expressions; a general 3x3 weight enters the RLD bound through
-its TrAbs term, which is closed-form too.
+its TrAbs term, which is closed-form too.  All are scalar arithmetic on
+matrix entries; only `hgm_bound` and the reference forms keep numpy.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import bloch_derivatives, bloch_from_theta
 from .fisher import rld_fisher_inverse, sld_fisher_inverse
-from .linalg import symmetric
+from .linalg import min_eig_det, symmetric
 
 __all__ = [
     "WeightSpec",
@@ -47,7 +49,11 @@ class WeightSpec:
 
     def __post_init__(self):
         m = symmetric(self.matrix, name="weight matrix")
-        if np.min(np.linalg.eigvalsh(m)) <= 0:
+        if m.shape not in ((2, 2), (3, 3)):
+            raise ValueError(f"weight matrix must be 2x2 or 3x3, got shape {m.shape}")
+        r = m.tolist()  # positive definite iff its leading principal minors are > 0
+        det3 = sum(x * y for x, y in zip(r[0], _cofactors(r))) if len(r) == 3 else 1.0  # row 0
+        if min(r[0][0], min_eig_det(r[0][0], r[0][1], r[1][1])[1], det3) <= 0:
             raise ValueError("weight matrix must be positive definite")
         object.__setattr__(self, "matrix", m)
         if self.w3 is not None:
@@ -89,36 +95,56 @@ def _weight(w, k):
     return w
 
 
+def _rows(w):
+    r = w.matrix.tolist()
+    return [r[0] + [0.0], r[1] + [0.0], [0.0, 0.0, float(w.w3)]] if w.is_block else r
+
+
+def _cofactors(r):
+    """Entries 00, 01, 02 and 11 of the adjugate of the symmetric 3x3 rows r."""
+    (a, b, c), (_, d, e), (_, _, f) = r
+    return d * f - e * e, c * e - b * f, b * e - c * d, a * f - c * c
+
+
+def _ginv(t, scale=1.0):
+    """Entries (a, b, c) of scale * G^{-1} on the interest block, as in `sld_fisher_inverse`."""
+    t1, t2 = t.theta1, t.theta2
+    return scale * (1.0 - t1 * t1), scale * (-t1 * t2), scale * (1.0 - t2 * t2)
+
+
+def _sld_trace(t, r):
+    """Tr(W G^{-1}) for the weight rows r; the phase entry of G^{-1} is 1/t1^2."""
+    g = _ginv(t)
+    value = r[0][0] * g[0] + 2.0 * r[0][1] * g[1] + r[1][1] * g[2]
+    return value + r[2][2] / (t.theta1 * t.theta1) if len(r) == 3 else value
+
+
 def sld_cr_bound(t, k, w):
     """SLD Cramer-Rao bound Tr(W G^{-1})."""
-    w = _weight(w, k)
-    return float(np.trace(w.full() @ sld_fisher_inverse(t, k)))
+    return _sld_trace(t, _rows(_weight(w, k)))
 
 
 def rld_cr_bound(t, k, w):
     """RLD Cramer-Rao bound Tr(W Re Gt^{-1}) + TrAbs(W Im Gt^{-1}).
 
-    For k=2 the RLD inverse is real and the TrAbs term vanishes.  For k=3,
-    Im Gt^{-1} is the cross-product matrix [a]x, a = (-1, -t2/t1, 0).  W [a]x
-    is similar to W^(1/2) [a]x W^(1/2) = det(W^(1/2)) [W^(-1/2) a]x, whose
-    eigenvalues are 0 and +/- i sqrt(det W a^T W^{-1} a).
+    For k=2 the RLD inverse is (1 - s^2) I and the TrAbs term vanishes.  For
+    k=3, Re Gt^{-1} = G^{-1} and Im Gt^{-1} is [a]x, a = (-1, -t2/t1, 0).
+    W [a]x is similar to W^(1/2) [a]x W^(1/2) = det(W^(1/2)) [W^(-1/2) a]x,
+    with eigenvalues 0 and +/- i z, z^2 = det W a^T W^{-1} a = a^T adj(W) a.
     """
-    w = _weight(w, k)
-    ginv = rld_fisher_inverse(t, k)
-    wf = w.full()
-    value = float(np.trace(wf @ ginv.real))
-    if k == 3:
-        a = np.array([ginv[2, 1].imag, ginv[0, 2].imag, ginv[1, 0].imag])
-        value += 2.0 * np.sqrt(np.linalg.det(wf) * (a @ np.linalg.solve(wf, a)))
-    return value
+    r = _rows(_weight(w, k))
+    if k == 2:
+        return (1.0 - t.theta1 * t.theta1 - t.theta2 * t.theta2) * (r[0][0] + r[1][1])
+    a00, a01, _, a11 = _cofactors(r)
+    ratio = t.theta2 / t.theta1
+    return _sld_trace(t, r) + 2.0 * math.sqrt(a00 + 2.0 * ratio * a01 + ratio * ratio * a11)
 
 
 def nagaoka_bound(t, w):
-    """Nagaoka bound Tr(W G^{-1}) + 2 sqrt(det(W G^{-1})) for k=2."""
-    w = _weight(w, 2)
-    ginv = sld_fisher_inverse(t, 2)
-    wg = w.matrix @ ginv
-    return float(np.trace(wg) + 2.0 * np.sqrt(np.linalg.det(wg)))
+    """Nagaoka bound Tr(W G^{-1}) + 2 sqrt(det W det G^{-1}) for k=2."""
+    r = _rows(_weight(w, 2))
+    det = min_eig_det(r[0][0], r[0][1], r[1][1])[1]
+    return _sld_trace(t, r) + 2.0 * math.sqrt(det * (1.0 - t.theta1**2 - t.theta2**2))
 
 
 def hgm_bound(t, k, w):
@@ -203,35 +229,48 @@ def holevo_bound_k2(t, w):
 
     Returns (value, (x1, x2)).
     """
-    wm = _weight(w, 2).matrix
-    kappa = 2.0 * np.sqrt(np.linalg.det(wm))
-    s = bloch_from_theta(t)
-    d = np.array(bloch_derivatives(t, 2))
-    base = d.T @ np.linalg.inv(d @ d.T)  # columns: p^1, p^2
-    normal = _skew(d[0]) @ d[1]
-    normal = normal / np.linalg.norm(normal)
-    cross_s = _skew(s)  # <a x b, s> = b @ cross_s @ a
+    (w00, w01), (_, w11) = _rows(_weight(w, 2))
+    det = min_eig_det(w00, w01, w11)[1]
+    kappa = 2.0 * math.sqrt(det)
+    s, d1, d2 = (v.tolist() for v in (bloch_from_theta(t), *bloch_derivatives(t, 2)))
+    g11, g12, g22 = _dot(d1, d1), _dot(d1, d2), _dot(d2, d2)  # Gram matrix D D^T
+    gdet = min_eig_det(g11, g12, g22)[1]
+    p1 = [(g22 * x - g12 * y) / gdet for x, y in zip(d1, d2)]
+    p2 = [(g11 * y - g12 * x) / gdet for x, y in zip(d1, d2)]
+    n = _cross(d1, d2)
+    normal = [x / math.hypot(*n) for x in n]
+
+    def shifted(p, a):  # p + a n
+        return [x + a * y for x, y in zip(p, normal)]
+
+    def triple(u, v):  # <u x v, s>
+        return _dot(_cross(u, v), s)
 
     def objective(a):
-        x = base + np.outer(normal, a)
-        xs = x.T @ s
-        gram = x.T @ x - np.outer(xs, xs)
-        return float(np.sum(wm * gram) + kappa * abs(x[:, 1] @ cross_s @ x[:, 0]))
+        x1, x2 = shifted(p1, a[0]), shifted(p2, a[1])
+        s1, s2 = _dot(x1, s), _dot(x2, s)
+        q = (w00 * (_dot(x1, x1) - s1 * s1) + 2.0 * w01 * (_dot(x1, x2) - s1 * s2)
+             + w11 * (_dot(x2, x2) - s2 * s2))
+        return q + kappa * abs(triple(x1, x2))
 
     # grad q = 2 W a and grad l = m: every candidate is a multiple of W^{-1} m
-    m = np.array([base[:, 1] @ cross_s @ normal, normal @ cross_s @ base[:, 0]])
-    direction = np.linalg.solve(wm, m)
+    m = (triple(normal, p2), triple(p1, normal))
+    direction = ((w11 * m[0] - w01 * m[1]) / det, (w00 * m[1] - w01 * m[0]) / det)
+    curvature = m[0] * direction[0] + m[1] * direction[1]
     scales = [-0.5 * kappa, 0.5 * kappa]
-    if m @ direction > 0.0:
-        scales.append(-(base[:, 1] @ cross_s @ base[:, 0]) / (m @ direction))
-    values = [objective(c * direction) for c in scales]
-    best = scales[int(np.argmin(values))] * direction
-    return min(values), tuple(base[:, i] + best[i] * normal for i in range(2))
+    if curvature > 0.0:
+        scales.append(-triple(p1, p2) / curvature)
+    values = [objective((c * direction[0], c * direction[1])) for c in scales]
+    best = scales[values.index(min(values))]
+    return min(values), tuple(np.array(shifted(p, best * e)) for p, e in zip((p1, p2), direction))
 
 
-def _skew(v):
-    """The matrix of u -> v x u."""
-    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _cross(u, v):
+    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
 
 
 @dataclass(frozen=True)
@@ -269,10 +308,6 @@ def bound_report(t, k, w):
     w = _weight(w, k)
     sld = sld_cr_bound(t, k, w)
     rld = rld_cr_bound(t, k, w)
-    if k == 2:
-        sep = nagaoka_bound(t, w)
-        holevo = sld
-    else:
-        sep = hgm_bound(t, 3, w)[0]
-        holevo = holevo_bound_k3(t, w)
-    return BoundReport(sld, rld, sep, holevo, k, tuple(t.as_array(3)), w)
+    sep = nagaoka_bound(t, w) if k == 2 else hgm_bound(t, 3, w)[0]
+    holevo = sld if k == 2 else rld  # rld is holevo_bound_k3 at k=3
+    return BoundReport(sld, rld, sep, holevo, k, (t.theta1, t.theta2, t.theta3), w)

@@ -1,18 +1,21 @@
 """Small-dimension symmetric-matrix kernels.
 
 `symmetric` is the one check that a matrix is square, finite and symmetric
-within a tolerance; weights, region candidates, the effective Fisher matrix
-and the kernels below all go through it.  The library's bounds use closed
-forms; the PSD square root and fidelity here serve the tests
-(`test_linalg.py`, and criterion 2 in `test_acceptance.py`) as independent
-references.  Everything works on plain 2x2 or 3x3 numpy arrays.
+within a tolerance; weights, region candidates and the effective Fisher
+matrix go through it.  The bounds, the weight check and the region margins
+use the closed form `min_eig_det` on 2x2 blocks.  The numpy PSD square root
+and fidelity serve the tests (`test_linalg.py`, and criterion 2 in
+`test_acceptance.py`) as independent references.
 """
+
+import math
 
 import numpy as np
 
 __all__ = [
     "NotPSDError",
     "symmetric",
+    "min_eig_det",
     "psd_sqrt",
     "fidelity",
 ]
@@ -36,11 +39,16 @@ def symmetric(m, dim=None, tol=1e-12, name="matrix"):
     if m.ndim != 2 or m.shape[0] != m.shape[1] or dim not in (None, m.shape[0]):
         size = "square" if dim is None else f"{dim}x{dim}"
         raise ValueError(f"{name} must be {size}, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} entries must be finite")
-    if np.max(np.abs(m - m.T)) > tol:
+    if abs(m - m.T).max() > tol:
         raise ValueError(f"{name} must be symmetric")
     return 0.5 * (m + m.T)
+
+
+def min_eig_det(a, b, c):
+    """Smallest eigenvalue and determinant of the symmetric [[a, b], [b, c]]."""
+    return 0.5 * (a + c) - math.hypot(0.5 * (a - c), b), a * c - b * b
 
 
 def psd_sqrt(m):

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import gamma_factor
-from .fisher import rld_fisher_inverse, sld_fisher_inverse
-from .linalg import symmetric
+from .bounds import _ginv, gamma_factor
+from .linalg import min_eig_det, symmetric
 
 __all__ = [
     "RegionVerdict",
@@ -43,8 +42,15 @@ class RegionVerdict:
 
 
 def _candidate(v, dim):
+    """Rows of the checked candidate, and the entries of its interest block."""
     # read from CSV written with 9 significant digits: asymmetry up to 1e-10
-    return symmetric(v, dim, 1e-10, "candidate MSE matrix")
+    r = symmetric(v, dim, 1e-10, "candidate MSE matrix").tolist()
+    return r, (r[0][0], r[0][1], r[1][1])
+
+
+def _diff(v, g):
+    """Smallest eigenvalue and determinant of V - G, both given by their entries."""
+    return min_eig_det(v[0] - g[0], v[1] - g[1], v[2] - g[2])
 
 
 def _verdict(margins):
@@ -53,29 +59,27 @@ def _verdict(margins):
     return RegionVerdict(member, margins, boundary)
 
 
-def _nagaoka_margins(v2, ginv):
-    """Slacks of V2 > ginv and det(V2 - ginv) >= det ginv."""
-    diff = v2 - ginv
-    return {
-        "eigen_slack": float(np.min(np.linalg.eigvalsh(diff))),
-        "det_slack": float(np.linalg.det(diff) - np.linalg.det(ginv)),
-    }
+def _nagaoka_margins(v2, g):
+    """Slacks of V2 > G and det(V2 - G) >= det G, both given by their entries."""
+    eig, det = _diff(v2, g)
+    return {"eigen_slack": eig, "det_slack": det - min_eig_det(*g)[1]}
 
 
 def in_region_D(v, t):
     """Nagaoka MSE region: det(V - G^{-1}) >= det G^{-1} with V > G^{-1}."""
-    return _verdict(_nagaoka_margins(_candidate(v, 2), sld_fisher_inverse(t, 2)))
+    return _verdict(_nagaoka_margins(_candidate(v, 2)[1], _ginv(t)))
 
 
 def in_region_D_GM(v, t):
     """Gill-Massar form of the same region: Tr(G^{-1} V^{-1}) <= 1, V > G^{-1}."""
-    v = _candidate(v, 2)
-    if np.min(np.linalg.eigvalsh(v)) <= 0:
+    _, v = _candidate(v, 2)
+    eig, det = min_eig_det(*v)
+    if eig <= 0:
         raise ValueError("candidate must be positive definite for the GM form")
-    ginv = sld_fisher_inverse(t, 2)
-    margins = {
-        "eigen_slack": float(np.min(np.linalg.eigvalsh(v - ginv))),
-        "trace_slack": float(1.0 - np.trace(ginv @ np.linalg.inv(v))),
+    g = _ginv(t)
+    margins = {  # V^{-1} = [[c, -b], [-b, a]] / det V
+        "eigen_slack": _diff(v, g)[0],
+        "trace_slack": 1.0 - (g[0] * v[2] - 2.0 * g[1] * v[1] + g[2] * v[0]) / det,
     }
     return _verdict(margins)
 
@@ -87,49 +91,42 @@ def in_region_D3(v, t):
     the 2x2 interest block to satisfy the Nagaoka region conditions
     scaled by gamma.
     """
-    v = _candidate(v, 3)
+    r, v2 = _candidate(v, 3)
     g33 = 1.0 / (t.theta1 * t.theta1)
-    v33_slack = float(v[2, 2] - g33)
+    v33_slack = r[2][2] - g33
     if v33_slack <= BOUNDARY_TOL:
         return RegionVerdict(False, {"v33_slack": v33_slack})
-    ginv = gamma_factor(v[2, 2], g33) * sld_fisher_inverse(t, 2)
-    return _verdict({"v33_slack": v33_slack, **_nagaoka_margins(v[:2, :2], ginv)})
+    g = _ginv(t, gamma_factor(r[2][2], g33))
+    return _verdict({"v33_slack": v33_slack, **_nagaoka_margins(v2, g)})
 
 
 def in_region_SLD3(v, t):
     """Region allowed by the (unattainable) SLD CR bound for k=3."""
-    v = _candidate(v, 3)
-    ginv = sld_fisher_inverse(t, 2)
-    g33 = 1.0 / (t.theta1 * t.theta1)
-    margins = {
-        "eigen_slack": float(np.min(np.linalg.eigvalsh(v[:2, :2] - ginv))),
-        "v33_slack": float(v[2, 2] - g33),
-    }
-    return _verdict(margins)
+    r, v2 = _candidate(v, 3)
+    return _verdict({"eigen_slack": _diff(v2, _ginv(t))[0],
+                     "v33_slack": r[2][2] - 1.0 / (t.theta1 * t.theta1)})
 
 
 def in_region_H(v, t):
     """Region allowed by the Holevo bound (k inferred from the input shape).
 
     k=2: V >= G^{-1}.  k=3: v33 > g33, V2 > G^{-1}, and
-    V2 >= gamma G^{-1} - (gamma - 1) Gt^{-1}.
+    V2 >= gamma G^{-1} - (gamma - 1) Gt^{-1}, where Re Gt^{-1} = (1 - s^2) I.
     """
     if np.shape(v) == (2, 2):
-        diff = _candidate(v, 2) - sld_fisher_inverse(t, 2)
-        return _verdict({"eigen_slack": float(np.min(np.linalg.eigvalsh(diff)))})
-    v = _candidate(v, 3)
+        return _verdict({"eigen_slack": _diff(_candidate(v, 2)[1], _ginv(t))[0]})
+    r, v2 = _candidate(v, 3)
     g33 = 1.0 / (t.theta1 * t.theta1)
-    v33_slack = float(v[2, 2] - g33)
+    v33_slack = r[2][2] - g33
     if v33_slack <= BOUNDARY_TOL:
         return RegionVerdict(False, {"v33_slack": v33_slack})
-    gamma = gamma_factor(v[2, 2], g33)
-    ginv = sld_fisher_inverse(t, 2)
-    gtinv = rld_fisher_inverse(t, 2).real
-    threshold = gamma * ginv - (gamma - 1.0) * gtinv
+    gamma = gamma_factor(r[2][2], g33)
+    g = _ginv(t)
+    shift = (gamma - 1.0) * (1.0 - t.theta1 * t.theta1 - t.theta2 * t.theta2)
     margins = {
         "v33_slack": v33_slack,
-        "interest_slack": float(np.min(np.linalg.eigvalsh(v[:2, :2] - ginv))),
-        "holevo_slack": float(np.min(np.linalg.eigvalsh(v[:2, :2] - threshold))),
+        "interest_slack": _diff(v2, g)[0],
+        "holevo_slack": _diff(v2, (gamma * g[0] - shift, gamma * g[1], gamma * g[2] - shift))[0],
     }
     return _verdict(margins)
 
@@ -147,7 +144,7 @@ def lemma1_equivalence_check(c, v, trials=1000, seed=0):
     """
     if not c > 0:
         raise ValueError("c must be positive")
-    v = _candidate(v, 2)
+    v = np.array(_candidate(v, 2)[0])
     eigs = np.linalg.eigvalsh(v)
     exact_member = bool(np.min(eigs) > 0 and np.linalg.det(v) >= c * c - 1e-12)
 

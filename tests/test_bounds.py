@@ -65,6 +65,32 @@ def test_weight_spec_rejects_non_finite(bad):
         WeightSpec.block(np.eye(2), bad)
 
 
+@pytest.mark.parametrize("size", [1, 4])
+def test_weight_spec_is_2x2_or_3x3(size):
+    with pytest.raises(ValueError) as err:
+        WeightSpec(np.eye(size))
+    assert str(err.value) == f"weight matrix must be 2x2 or 3x3, got shape ({size}, {size})"
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_bounds_are_python_floats(k):
+    t = ThetaParams(np.float64(-0.4), np.float64(0.3), np.int64(1))
+    w2 = np.array([[1.0, 0.2], [0.2, 2.0]])
+    full = np.array([[1.5, 0.2, 0.1], [0.2, 1.0, -0.3], [0.1, -0.3, 2.0]])
+    for w in ([w2] if k == 2 else [WeightSpec.block(w2, 1.5), full]):
+        values = [sld_cr_bound(t, k, w), rld_cr_bound(t, k, w), hgm_bound(t, k, w)[0]]
+        if k == 2:
+            values += [nagaoka_bound(t, w), holevo_bound_k2(t, w)[0]]
+        else:
+            values.append(holevo_bound_k3(t, w))
+            if not isinstance(w, np.ndarray):
+                values.append(holevo_bound_k3_block(t, w))
+        report = bound_report(t, k, w)
+        values += [report.sld_cr, report.rld_cr, report.nagaoka_hgm, report.holevo, *report.theta]
+        assert [type(v) for v in values] == [float] * len(values)
+        assert type(report.k) is int and len(report.theta) == 3
+
+
 def test_weight_spec_symmetry_tolerance_is_1e_12():
     w = np.array([[2.0, 0.5], [0.5, 1.0]])
     spec = WeightSpec(w + [[0.0, 5e-13], [0.0, 0.0]])

@@ -22,7 +22,7 @@ from qest.fisher import (
     rld_fisher_inverse,
     sld_fisher_inverse,
 )
-from qest.linalg import psd_sqrt
+from qest.linalg import min_eig_det, psd_sqrt
 from qest.model import ThetaParams, bloch_derivatives, state_derivatives, state_from_theta
 from qest.povm import (
     Povm,
@@ -31,6 +31,7 @@ from qest.povm import (
     optimal_povm_plan,
     verify_locally_unbiased,
 )
+from qest.region import BOUNDARY_TOL, in_region_D, in_region_D3, in_region_H
 from qest.simulate import SimConfig
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -54,6 +55,21 @@ def full_weights(draw):
     """A random positive-definite 3x3 weight, not in block form."""
     a = np.array([[draw(unit) for _ in range(3)] for _ in range(3)])
     return a @ a.T + 0.05 * np.eye(3)
+
+
+@st.composite
+def candidates(draw):
+    """(t, V2, V3): a symmetric V2 around a multiple of G^{-1}, inside or outside
+    each region, and a 3x3 V3 with interest block V2 and v33 on either side of g33."""
+    t, _, _ = draw(cases())
+    a = np.array([[draw(unit) for _ in range(2)] for _ in range(2)])
+    spread = draw(st.sampled_from((1e-6, 0.05, 0.5)))
+    v2 = draw(st.floats(0.3, 3.0)) * sld_fisher_inverse(t, 2) + spread * (a + a.T)
+    v3 = np.zeros((3, 3))
+    v3[:2, :2] = v2
+    v3[2, 2] = draw(st.floats(0.5, 4.0)) / (t.theta1 * t.theta1)
+    v3[0, 2] = v3[2, 0] = draw(unit)
+    return t, v2, v3
 
 
 def _turned(t, phi):
@@ -221,3 +237,90 @@ def test_trial_rng_state_is_default_rngs(seed, trial):
                     seed=seed)
     want = np.random.default_rng((seed, trial)).bit_generator.state
     assert cfg.trial_rng(trial).bit_generator.state == want
+
+
+@SETTINGS
+@given(st.lists(unit, min_size=3, max_size=3), st.integers(-6, 6), st.booleans())
+def test_min_eig_det_matches_numpy(entries, power, rank_one):
+    scale = 10.0**power
+    a, b, c = (scale * x for x in entries)
+    if rank_one:  # +-[[x^2, xy], [xy, y^2]]: b^2 = ac
+        x, y, sign = entries[0], entries[1], 1.0 if entries[2] >= 0.0 else -1.0
+        a, b, c = (sign * scale * v for v in (x * x, x * y, y * y))
+    m = np.array([[a, b], [b, c]])
+    low, det = min_eig_det(a, b, c)
+    assert abs(low - np.linalg.eigvalsh(m)[0]) <= 1e-12 * scale
+    assert abs(det - np.linalg.det(m)) <= 1e-12 * scale * scale
+
+
+def _nagaoka_reference(v2, ginv):
+    """eigen_slack and det_slack of the Nagaoka conditions, through numpy."""
+    diff = v2 - ginv
+    return np.linalg.eigvalsh(diff)[0], np.linalg.det(diff) - np.linalg.det(ginv)
+
+
+@SETTINGS
+@given(candidates())
+def test_region_D_and_D3_margins_match_numpy(candidate):
+    t, v2, v3 = candidate
+    ginv = sld_fisher_inverse(t, 2)
+    got = in_region_D(v2, t).margins
+    eig, det = _nagaoka_reference(v2, ginv)
+    scale = np.abs(v2).max() + np.abs(ginv).max()
+    assert abs(got["eigen_slack"] - eig) <= 1e-12 * scale
+    assert abs(got["det_slack"] - det) <= 1e-12 * scale * scale
+    got = in_region_D3(v3, t).margins
+    g33 = 1.0 / (t.theta1 * t.theta1)
+    assert got["v33_slack"] == v3[2, 2] - g33
+    if v3[2, 2] - g33 > BOUNDARY_TOL:
+        gamma = v3[2, 2] / (v3[2, 2] - g33)
+        eig, det = _nagaoka_reference(v2, gamma * ginv)
+        scale = np.abs(v2).max() + gamma * np.abs(ginv).max()
+        assert abs(got["eigen_slack"] - eig) <= 1e-12 * scale
+        assert abs(got["det_slack"] - det) <= 1e-12 * scale * scale
+
+
+@SETTINGS
+@given(candidates())
+def test_region_H_margins_match_numpy(candidate):
+    t, v2, v3 = candidate
+    ginv = sld_fisher_inverse(t, 2)
+    scale = np.abs(v2).max() + np.abs(ginv).max()
+    eig = np.linalg.eigvalsh(v2 - ginv)[0]
+    assert abs(in_region_H(v2, t).margins["eigen_slack"] - eig) <= 1e-12 * scale
+    got = in_region_H(v3, t).margins
+    g33 = 1.0 / (t.theta1 * t.theta1)
+    assert got["v33_slack"] == v3[2, 2] - g33
+    if v3[2, 2] - g33 > BOUNDARY_TOL:
+        gamma = v3[2, 2] / (v3[2, 2] - g33)
+        threshold = gamma * ginv - (gamma - 1.0) * rld_fisher_inverse(t, 2).real
+        scale = np.abs(v2).max() + gamma * np.abs(ginv).max()
+        assert abs(got["interest_slack"] - eig) <= 1e-12 * scale
+        holevo = np.linalg.eigvalsh(v2 - threshold)[0]
+        assert abs(got["holevo_slack"] - holevo) <= 1e-12 * scale
+
+
+@SETTINGS
+@given(cases(), full_weights())
+def test_rld_k3_trabs_is_det_w_times_a_w_inverse_a(case, w):
+    t, _, _ = case
+    a = np.array([-1.0, -t.theta2 / t.theta1, 0.0])
+    trabs = 2.0 * np.sqrt(np.linalg.det(w) * (a @ np.linalg.solve(w, a)))
+    expected = np.trace(w @ sld_fisher_inverse(t, 3)) + trabs
+    assert rld_cr_bound(t, 3, w) == pytest.approx(expected, rel=1e-12)
+
+
+@SETTINGS
+@given(st.sampled_from((2, 3)), st.data())
+def test_weight_spec_accepts_exactly_the_positive_definite(k, data):
+    a = np.array([[data.draw(unit) for _ in range(k)] for _ in range(k)])
+    m = a + a.T + data.draw(st.floats(-2.0, 2.0)) * np.eye(k)
+    low = np.linalg.eigvalsh(m)[0]
+    assume(abs(low) > 1e-6)  # away from the boundary, where round-off decides
+    try:
+        WeightSpec(m)
+    except ValueError as err:
+        assert str(err) == "weight matrix must be positive definite"
+        assert low < 0.0
+    else:
+        assert low > 0.0

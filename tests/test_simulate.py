@@ -120,6 +120,17 @@ def test_plain_array_weight_is_wrapped_in_a_weight_spec():
         SimConfig(T, -w, "two-step", n=200, trials=5)
 
 
+@pytest.mark.parametrize("size", [1, 4])
+def test_weight_must_be_2x2_or_3x3(size):
+    # a 4x4 weight was once accepted and its top-left 2x2 block used silently
+    weight = np.diag([1.0, 2.0, 3.0, 4.0][:size])
+    message = rf"weight matrix must be 2x2 or 3x3, got shape \({size}, {size}\)"
+    for given in (weight, weight.tolist()):
+        with pytest.raises(ValueError, match=message):
+            SimConfig(ThetaParams(0.6, 0.1, 0.3), given, "single-copy-optimal", n=1000, trials=5,
+                      seed=1)
+
+
 def test_plain_array_weight_is_wrapped_with_negative_theta1():
     w = np.array([[1.0, 0.4], [0.4, 2.0]])
     flip = np.diag([-1.0, 1.0])

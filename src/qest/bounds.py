@@ -4,7 +4,8 @@ Every bound is a function of the model point, the parameter count k,
 and a weight matrix.  For k=3 a block weight diag(W2, w3) unlocks the
 closed-form expressions; a general 3x3 weight enters the RLD bound through
 its TrAbs term, which is closed-form too.  All are scalar arithmetic on
-matrix entries; only `hgm_bound` and the reference forms keep numpy.
+matrix entries; only the k=3 `hgm_bound` eigenpairs and the reference
+forms keep numpy.
 """
 
 import math
@@ -12,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import bloch_derivatives, bloch_from_theta
+from .model import bloch_rows
 from .fisher import rld_fisher_inverse, sld_fisher_inverse
-from .linalg import min_eig_det, symmetric
+from .linalg import eigh2, min_eig_det, symmetric
 
 __all__ = [
     "WeightSpec",
@@ -152,22 +153,31 @@ def hgm_bound(t, k, w):
 
     Returns (value, lambdas, u) where lambdas are the descending
     eigenvalues of F = sqrt(G^{-1}) W sqrt(G^{-1}) and u the orthogonal
-    matrix diagonalizing it; the optimal-POVM construction reuses both.
-    The 2x2 block M of G^{-1} has det M = 1 - t1^2 - t2^2 = c^2 and
-    tr M = 1 + c^2, so sqrt(M) = (M + c I)/(1 + c); the phase entry of
-    sqrt(G^{-1}) is 1/|t1|.
+    matrix diagonalizing it, each column with the sign `np.linalg.eigh`
+    gives it; the optimal-POVM construction reuses both.  The 2x2 block M
+    of G^{-1} has det M = 1 - t1^2 - t2^2 = c^2 and tr M = 1 + c^2, so
+    sqrt(M) = (M + c I)/(1 + c); the phase entry of sqrt(G^{-1}) is 1/|t1|.
+    F is built from its entries; k=2 takes its eigenpairs from `eigh2`,
+    k=3 from one `np.linalg.eigh`.
     """
-    w = _weight(w, k)
-    root = sld_fisher_inverse(t, k)
-    c = np.sqrt(1.0 - t.theta1 * t.theta1 - t.theta2 * t.theta2)
-    root[:2, :2] = (root[:2, :2] + c * np.eye(2)) / (1.0 + c)
-    if k == 3:
-        root[2, 2] = 1.0 / abs(t.theta1)
-    f = root @ w.full() @ root
-    lam, u = np.linalg.eigh(0.5 * (f + f.T))
-    order = np.argsort(lam)[::-1]
-    lam, u = lam[order], u[:, order]
-    value = float(np.sum(np.sqrt(np.clip(lam, 0.0, None))) ** 2)
+    r = _rows(_weight(w, k))
+    c = math.sqrt(1.0 - t.theta1 * t.theta1 - t.theta2 * t.theta2)
+    p, q, s = _ginv(t)
+    p, q, s = (p + c) / (1.0 + c), q / (1.0 + c), (s + c) / (1.0 + c)
+    # rows of sqrt(M) W2, then F2 = sqrt(M) W2 sqrt(M)
+    a0, a1 = p * r[0][0] + q * r[0][1], p * r[0][1] + q * r[1][1]
+    b0, b1 = q * r[0][0] + s * r[0][1], q * r[0][1] + s * r[1][1]
+    f00, f01, f11 = a0 * p + a1 * q, a0 * q + a1 * s, b0 * q + b1 * s
+    if k == 2:
+        lam, ((x1, y1), (x2, y2)) = eigh2(f00, f01, f11)
+        lam, u = np.array(lam), np.array([[x1, x2], [y1, y2]])
+    else:
+        z = 1.0 / abs(t.theta1)
+        f02, f12 = z * (p * r[0][2] + q * r[1][2]), z * (q * r[0][2] + s * r[1][2])
+        f = [[f00, f01, f02], [f01, f11, f12], [f02, f12, z * z * r[2][2]]]
+        lam, u = np.linalg.eigh(f)
+        lam, u = lam[::-1].copy(), u[:, ::-1].copy()
+    value = sum(math.sqrt(max(x, 0.0)) for x in lam.tolist()) ** 2
     return value, lam, u
 
 
@@ -232,7 +242,7 @@ def holevo_bound_k2(t, w):
     (w00, w01), (_, w11) = _rows(_weight(w, 2))
     det = min_eig_det(w00, w01, w11)[1]
     kappa = 2.0 * math.sqrt(det)
-    s, d1, d2 = (v.tolist() for v in (bloch_from_theta(t), *bloch_derivatives(t, 2)))
+    s, (d1, d2) = bloch_rows(t, 2)
     g11, g12, g22 = _dot(d1, d1), _dot(d1, d2), _dot(d2, d2)  # Gram matrix D D^T
     gdet = min_eig_det(g11, g12, g22)[1]
     p1 = [(g22 * x - g12 * y) / gdet for x, y in zip(d1, d2)]

@@ -16,6 +16,7 @@ from .model import (
     SIGMA0,
     bloch_derivatives,
     bloch_from_theta,
+    bloch_rows,
     state_derivatives,
     state_from_theta,
 )
@@ -164,8 +165,42 @@ def outcome_gradients(t, povm, k=3):
 
     Returns (p, dp) of shapes (m,) and (m, k), in the POVM's element order.
     """
-    derivs = np.array(bloch_derivatives(t, k))
-    return bloch_outcome_gradients(povm.weights, povm.axes, bloch_from_theta(t), derivs)
+    p, dp = _outcome_rows(t, povm, k)
+    return np.array(p), np.array(dp)
+
+
+def _outcome_rows(t, povm, k):
+    """`outcome_gradients` as Python floats: p, a list of m values, and dp,
+    a list of m rows of k; `bloch_outcome_gradients` for one POVM."""
+    s, derivs = bloch_rows(t, k)
+    p, dp = [], []
+    for w, (a0, a1, a2) in zip(povm.weights.tolist(), povm.axes.tolist()):
+        half = 0.5 * w
+        p.append(half * (1.0 + (a0 * s[0] + a1 * s[1] + a2 * s[2])))
+        dp.append([half * (a0 * d[0] + a1 * d[1] + a2 * d[2]) for d in derivs])
+    return p, dp
+
+
+def _fisher_rows(t, povm, k):
+    """(p, dp, J): `_outcome_rows` and the rows of `classical_fisher`, as Python floats."""
+    p, dp = _outcome_rows(t, povm, k)
+    j = [[0.0] * k for _ in range(k)]
+    for label, px, grad in zip(povm.labels, p, dp):
+        if px < 1e-14:
+            steepness = max(abs(g) for g in grad)
+            if steepness > 1e-12:
+                raise SingularModelError(
+                    f"outcome {label!r} has zero probability but gradient {steepness:.3e}"
+                )
+            continue
+        for a in range(k):
+            scaled = grad[a] / px
+            for b in range(a, k):
+                j[a][b] += scaled * grad[b]
+    for a in range(k):
+        for b in range(a):
+            j[a][b] = j[b][a]
+    return p, dp, j
 
 
 def classical_fisher(t, povm, k=3):
@@ -175,17 +210,7 @@ def classical_fisher(t, povm, k=3):
     d_i p(x) = Tr(d_i rho Pi_x).  Outcomes with p below 1e-14 contribute
     nothing when their gradient also vanishes, and raise otherwise.
     """
-    p, dp = outcome_gradients(t, povm, k)
-    null = p < 1e-14
-    steepness = np.max(np.abs(dp), axis=1)
-    bad = np.flatnonzero(null & (steepness > 1e-12))
-    if bad.size:
-        raise SingularModelError(
-            f"outcome {povm.labels[bad[0]]!r} has zero probability but gradient "
-            f"{steepness[bad[0]]:.3e}"
-        )
-    keep = ~null
-    return (dp[keep].T / p[keep]) @ dp[keep]
+    return np.array(_fisher_rows(t, povm, k)[2])
 
 
 def effective_fisher(j):

@@ -19,6 +19,7 @@ __all__ = [
     "state_from_theta",
     "bloch_from_theta",
     "bloch_derivatives",
+    "bloch_rows",
     "state_from_bloch",
 ]
 
@@ -77,13 +78,7 @@ class ThetaParams:
 
 def bloch_from_theta(t):
     """Bloch vector s = (t1 cos t3, t1 sin t3, t2)."""
-    return np.array(
-        [
-            t.theta1 * np.cos(t.theta3),
-            t.theta1 * np.sin(t.theta3),
-            t.theta2,
-        ]
-    )
+    return np.array(bloch_rows(t, 2)[0])
 
 
 def state_from_bloch(s):
@@ -103,15 +98,16 @@ def bloch_derivatives(t, k=3):
     Returns a list of k 3-vectors.  k=2 treats the phase as known and
     drops the theta3 derivative.
     """
+    return [np.array(d) for d in bloch_rows(t, k)[1]]
+
+
+def bloch_rows(t, k=3):
+    """The Bloch vector and its k derivatives, as tuples of Python floats."""
     if k not in (2, 3):
         raise ValueError(f"k must be 2 or 3, got {k}")
-    c, s = np.cos(t.theta3), np.sin(t.theta3)
-    derivs = [
-        np.array([c, s, 0.0]),
-        np.array([0.0, 0.0, 1.0]),
-        np.array([-t.theta1 * s, t.theta1 * c, 0.0]),
-    ]
-    return derivs[:k]
+    t1, c, s = t.theta1, math.cos(t.theta3), math.sin(t.theta3)
+    derivs = ((c, s, 0.0), (0.0, 0.0, 1.0), (-t1 * s, t1 * c, 0.0))
+    return (t1 * c, t1 * s, t.theta2), derivs[:k]
 
 
 def state_derivatives(t, k=3):

@@ -8,12 +8,14 @@ view exists only for iteration and JSON.
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import hgm_bound
-from .fisher import classical_fisher, outcome_gradients, sld_fisher
+from .fisher import _fisher_rows, _outcome_rows
+from .linalg import min_eig_det
 from .model import SIGMA, SIGMA0, ThetaParams, bloch_from_theta
 
 __all__ = [
@@ -43,13 +45,12 @@ def _validate(labels, weights, coeffs):
     (w +/- |b|)/2, and the elements sum to the identity iff the weights sum
     to 2 and the b sum to 0.
     """
-    low = 0.5 * (weights - np.linalg.norm(coeffs, axis=1))
-    bad = np.flatnonzero(low < -PSD_TOL)
-    if bad.size:
-        raise ValueError(f"element {labels[bad[0]]!r} is not PSD")
+    bad = 0.5 * (weights - np.sqrt((coeffs * coeffs).sum(axis=1))) < -PSD_TOL
+    if bad.any():
+        raise ValueError(f"element {labels[bad.argmax()]!r} is not PSD")
     if (
-        abs(np.sum(weights) - 2.0) > COMPLETENESS_TOL
-        or np.max(np.abs(np.sum(coeffs, axis=0))) > COMPLETENESS_TOL
+        abs(weights.sum() - 2.0) > COMPLETENESS_TOL
+        or abs(coeffs.sum(axis=0)).max() > COMPLETENESS_TOL
     ):
         raise ValueError("POVM elements do not sum to the identity")
 
@@ -60,8 +61,8 @@ class Povm:
     Element x is weights[x] (I + axes[x] . sigma)/2: axes[x] is a unit
     vector for a projective element and 0 for a zero element.  Built from
     (label, 2x2 Hermitian PSD matrix) pairs summing to the identity, or
-    with `from_bloch`; both run the same checks.  Iterating yields the
-    (label, matrix) pairs.
+    with `from_bloch`; both run the same checks and store the axes in C
+    order.  Iterating yields the (label, matrix) pairs.
     """
 
     def __init__(self, elements):
@@ -87,7 +88,8 @@ class Povm:
         """The POVM with elements weights[x] (I + axes[x] . sigma)/2."""
         labels = [str(label) for label in labels]
         weights = np.array(weights, dtype=float)
-        axes = np.array(axes, dtype=float).reshape(-1, 3)
+        # C order whatever the input's: the layout sets the last bits of axes @ s
+        axes = np.array(axes, dtype=float, order="C").reshape(-1, 3)
         _validate(labels, weights, weights[:, None] * axes)
         povm = cls.__new__(cls)
         povm.labels, povm.weights, povm.axes = tuple(labels), weights, axes
@@ -141,10 +143,12 @@ class OptimalPovmPlan:
 
     def measurement(self):
         """The 2k-element POVM p_i (I +/- n_i . sigma)/2, labels "i+", "i-"."""
-        k = len(self.directions)
-        labels = [f"{i}{sign}" for i in range(1, k + 1) for sign in "+-"]
-        axes = np.stack((self.directions, -self.directions), axis=1).reshape(-1, 3)
-        return Povm.from_bloch(labels, np.repeat(self.probabilities, 2), axes)
+        labels, weights, axes = [], [], []
+        for i, (n, p) in enumerate(zip(self.directions.tolist(), self.probabilities.tolist())):
+            labels += (f"{i + 1}+", f"{i + 1}-")
+            weights += (p, p)
+            axes += (n, [-x for x in n])
+        return Povm.from_bloch(labels, weights, axes)
 
 
 def optimal_povm_plan(t, w):
@@ -158,16 +162,24 @@ def optimal_povm_plan(t, w):
     directions are n_i = E G^(1/2) u_i / |G^(1/2) u_i|, where E maps
     (theta1, theta2) directions to Bloch vectors; any orthonormal u_i
     serve when F is a multiple of the identity.  For 2x2 G, G^(1/2) is
-    proportional to G + sqrt(det G) I.
+    proportional to G + sqrt(det G) I; with G = adj(M)/c^2, M = G^(-1) and
+    det M = c^2, that is adj(M) + c I.  The sign of each u_i, and so the
+    order of the outcomes, is that of `np.linalg.eigh`.
     """
     _, lam, u = hgm_bound(t, 2, w)
-    sqrt_lam = np.sqrt(np.clip(lam, 0.0, None))
-    g = sld_fisher(t, 2)
-    c3, s3 = np.cos(t.theta3), np.sin(t.theta3)
-    e = np.array([[c3, 0.0], [s3, 0.0], [0.0, 1.0]])
-    v = e @ (g + np.sqrt(np.linalg.det(g)) * np.eye(2)) @ u
-    directions = (v / np.linalg.norm(v, axis=0)).T
-    return OptimalPovmPlan(directions, sqrt_lam / np.sum(sqrt_lam), lam)
+    (u00, u01), (u10, u11) = u.tolist()
+    t1, t2 = t.theta1, t.theta2
+    c = math.sqrt(1.0 - t1 * t1 - t2 * t2)
+    m00, m01, m11 = 1.0 - t2 * t2 + c, t1 * t2, 1.0 - t1 * t1 + c
+    c3, s3 = math.cos(t.theta3), math.sin(t.theta3)
+    directions = []
+    for x, y in ((u00, u10), (u01, u11)):
+        x, y = m00 * x + m01 * y, m01 * x + m11 * y
+        norm = math.hypot(x, y)
+        directions.append((c3 * x / norm, s3 * x / norm, y / norm))
+    roots = [math.sqrt(max(x, 0.0)) for x in lam.tolist()]
+    total = roots[0] + roots[1]
+    return OptimalPovmPlan(np.array(directions), np.array([x / total for x in roots]), lam)
 
 
 def build_optimal_povm(t, w):
@@ -199,15 +211,36 @@ class QuantumEstimator:
 
 def build_optimal_estimator(t, w, povm, k=2):
     """Locally unbiased estimator theta_i + sum_j (J^{-1})_ij d_j log p(x)."""
-    j = classical_fisher(t, povm, k)
-    # inf, without a warning, for an exactly singular j
-    if np.linalg.cond(j) > 1e12:
-        raise RankDeficientMeasurementError("classical Fisher matrix is singular")
-    jinv = np.linalg.inv(j)
-    p, dp = outcome_gradients(t, povm, k)
-    theta = t.as_array(k)
-    rows = [theta if px < 1e-14 else theta + jinv @ (grad / px) for px, grad in zip(p, dp)]
+    p, dp, j = _fisher_rows(t, povm, k)
+    jinv = _fisher_inverse(j)
+    theta = t.as_array(k).tolist()
+    rows = []
+    for px, grad in zip(p, dp):
+        if px < 1e-14:
+            rows.append(theta)
+            continue
+        scaled = [g / px for g in grad]
+        rows.append([x + sum(a * b for a, b in zip(row, scaled)) for x, row in zip(theta, jinv)])
     return QuantumEstimator(povm, np.array(rows), t)
+
+
+def _fisher_inverse(j):
+    """Rows of J^{-1}; raises unless lambda_max / lambda_min <= 1e12.
+
+    That is the test np.linalg.cond(J) > 1e12 on a symmetric PSD J.  A
+    2x2 J is inverted through its adjugate, a 3x3 one with numpy.
+    """
+    if len(j) == 3:
+        j = np.array(j)
+        # inf, without a warning, for an exactly singular j
+        if np.linalg.cond(j) > 1e12:
+            raise RankDeficientMeasurementError("classical Fisher matrix is singular")
+        return np.linalg.inv(j).tolist()
+    (a, b), (_, c) = j
+    low, det = min_eig_det(a, b, c)
+    if not low > 0.0 or a + c - low > 1e12 * low:
+        raise RankDeficientMeasurementError("classical Fisher matrix is singular")
+    return [[c / det, -b / det], [-b / det, a / det]]
 
 
 def verify_locally_unbiased(estimator):
@@ -216,11 +249,18 @@ def verify_locally_unbiased(estimator):
     Returns {"bias_residual", "derivative_residual", "passed"}; passing
     means both residuals are below 1e-9.  Diagnostic only, never raises.
     """
-    t, est = estimator.anchor, estimator.table
-    k = est.shape[1]
-    p, dp = outcome_gradients(t, estimator.povm, k)
-    bias_residual = float(np.max(np.abs(p @ est - t.as_array(k))))
-    derivative_residual = float(np.max(np.abs(est.T @ dp - np.eye(k))))
+    t, table = estimator.anchor, estimator.table.tolist()
+    k = len(table[0])
+    p, dp = _outcome_rows(t, estimator.povm, k)
+    theta = t.as_array(k).tolist()
+    bias_residual = max(
+        abs(sum(px * row[i] for px, row in zip(p, table)) - theta[i]) for i in range(k)
+    )
+    derivative_residual = max(
+        abs(sum(row[i] * grad[j] for row, grad in zip(table, dp)) - float(i == j))
+        for i in range(k)
+        for j in range(k)
+    )
     return {
         "bias_residual": bias_residual,
         "derivative_residual": derivative_residual,

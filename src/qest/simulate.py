@@ -33,6 +33,7 @@ one vectorized pass (a port of numpy's ``SeedSequence``) and loads each into
 one reused generator; the draws are the same, bit for bit.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -139,7 +140,7 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
+_MASK64 = (1 << 64) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
@@ -208,27 +209,63 @@ def _int_words(n):
     return words
 
 
+def _mul64(a, b):
+    """Low and high 64-bit words of a * b, for a uint64 array a and an int 0 <= b < 2^64.
+
+    The 128-bit product is built from 32-bit halves, whose products and
+    partial sums fit in 64 bits.
+    """
+    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
+    p00, p01, p10, p11 = a0 * b0, a0 * b1, a1 * b0, a1 * b1
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return (p00 & _MASK32) | mid << 32, p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
 def _pcg64_states(seed, trials):
     """(state, inc) of ``default_rng((seed, trial)).bit_generator`` for each trial.
 
     trials: non-negative ints below 2^64.  The entropy is the 32-bit words of
     seed, then those of trial; PCG64 seeds from the words (s_hi, s_lo, i_hi,
     i_lo) with inc = 2 i + 1 and state = (inc + s) MULT + inc, mod 2^128.
+    Each 128-bit value is a pair of uint64 arrays, high and low word, which
+    wrap mod 2^64; a sum carries into the high word when its low word is
+    below an addend's.
     """
     trials = np.asarray(trials, dtype=np.uint64)
     low, high = trials & _MASK32, trials >> 32
     seed_words = np.array(_int_words(seed), dtype=np.uint64)[:, None]
-    words = np.empty((4, len(trials)), dtype=object)
+    words = np.empty((4, len(trials)), dtype=np.uint64)
     for rows, trial_words in ((high == 0, [low]), (high != 0, [low, high])):
         if rows.any():
             entropy = np.vstack([np.repeat(seed_words, rows.sum(), axis=1)]
                                 + [w[rows] for w in trial_words])
-            for out, word in zip(words, _seed_sequence_words(entropy)):
-                out[rows] = word.astype(object)
+            words[:, rows] = _seed_sequence_words(entropy)
     s_hi, s_lo, i_hi, i_lo = words
-    inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
-    state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-    return list(zip(state.tolist(), inc.tolist()))
+    inc_hi, inc_lo = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
+    lo = inc_lo + s_lo
+    hi = inc_hi + s_hi + (lo < inc_lo)
+    mult_hi, mult_lo = _PCG64_MULT >> 64, _PCG64_MULT & _MASK64
+    product_lo, carry = _mul64(lo, mult_lo)
+    hi = carry + hi * mult_lo + lo * mult_hi
+    lo = product_lo + inc_lo
+    hi = hi + inc_hi + (lo < inc_lo)
+    return [(h << 64 | l, inc_h << 64 | inc_l) for h, l, inc_h, inc_l
+            in zip(hi.tolist(), lo.tolist(), inc_hi.tolist(), inc_lo.tolist())]
+
+
+@functools.cache
+def _zero_seed():
+    """A seed sequence of zero words, which skips SeedSequence's hash.
+
+    Built on first use: subclassing numpy's ISeedSequence imports
+    numpy.random, which ``import qest`` does not otherwise need.
+    """
+
+    class ZeroSeed(np.random.bit_generator.ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.zeros(n_words, dtype=dtype)
+
+    return ZeroSeed()
 
 
 class TrialStreams:
@@ -242,7 +279,8 @@ class TrialStreams:
     def __init__(self, seed, trials):
         self._trials = trials
         self._states = _pcg64_states(seed, trials)
-        self._generator = np.random.Generator(np.random.PCG64(0))
+        # every use of the generator follows a load, so its first state is free
+        self._generator = np.random.Generator(np.random.PCG64(_zero_seed()))
         # the argument of every state load; PCG64 copies it, so it is reused
         self._pcg = {"state": 0, "inc": 0}
         self._state = {"bit_generator": "PCG64", "state": self._pcg, "has_uint32": 0,

@@ -383,13 +383,30 @@ def test_runs_without_scipy():
         "qest.holevo_bound_k2(qest.ThetaParams(0.5, 0.3, 0.7), [[1.0, 0.2], [0.2, 2.0]])\n"
         "sys.exit(main(['bounds', '--theta', '0.5,0.3,0.7']))\n"
     )
-    src = str(Path(qest.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
+    proc = _run_python(code)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["holevo"] > 0.0
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     assert "scipy" not in pyproject.read_text().lower()
+
+
+def test_bounds_cold_start_does_not_import_numpy_random():
+    # numpy.random costs about 15 ms to import; only the simulators draw.
+    code = (
+        "import sys\n"
+        "from qest.cli import main\n"
+        "main(['bounds', '--theta', '0.5,0.3,0.7'])\n"
+        "sys.exit('numpy.random' in sys.modules)\n"
+    )
+    proc = _run_python(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _run_python(code):
+    """Run code in a fresh interpreter that imports this qest."""
+    src = str(Path(qest.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )

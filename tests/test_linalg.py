@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from qest.bounds import WeightSpec
+from qest.fisher import effective_fisher
 from qest.linalg import NotPSDError, fidelity, psd_sqrt, symmetric
+from qest.model import ThetaParams
+from qest.region import in_region_D
 
 
 def test_psd_sqrt_squares_back():
@@ -69,3 +73,20 @@ def test_symmetric_returns_the_symmetric_part_or_names_the_fault():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match=r"^w entries must be finite$"):
             symmetric([[1.0, bad], [bad, 1.0]], name="w")
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (WeightSpec, r"^weight matrix must not be empty, got shape \(0, 0\)$"),
+        (lambda m: in_region_D(m, ThetaParams(0.5, 0.3, 0.7)),
+         r"^candidate MSE matrix must be 2x2, got shape \(0, 0\)$"),
+        (effective_fisher, r"^matrix must be 3x3, got shape \(0, 0\)$"),
+    ],
+    ids=["WeightSpec", "in_region_D", "effective_fisher"],
+)
+def test_empty_matrix_message_names_the_matrix_and_its_shape(check, message):
+    with pytest.raises(ValueError, match=message):
+        check(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match=r"^w must not be empty, got shape \(0, 0\)$"):
+        symmetric(np.zeros((0, 0)), name="w")

@@ -48,6 +48,24 @@ def test_povm_probabilities_sum_to_one():
     assert np.sum(p) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_povm_axes_are_stored_in_c_order():
+    # axes @ s gives different last bits for C- and F-ordered axes, so both
+    # constructors store C order, whatever order their input is in.
+    povm, _ = build_optimal_povm(ThetaParams(0.5, 0.3, 1.2), np.diag([1.0, 2.0]))
+    assert povm.axes.flags.c_contiguous
+    assert Povm(list(povm)).axes.flags.c_contiguous
+    rng = np.random.default_rng(35)
+    labels, weights = [str(x) for x in range(6)], np.full(6, 1.0 / 3.0)
+    for t, _ in random_cases(40, 35):
+        units = rng.normal(size=(3, 3))
+        units /= np.linalg.norm(units, axis=1)[:, None]
+        axes = np.stack((units, -units), axis=1).reshape(6, 3)
+        in_f = Povm.from_bloch(labels, weights, np.asfortranarray(axes))
+        in_c = Povm.from_bloch(labels, weights, np.ascontiguousarray(axes))
+        assert in_f.axes.flags.c_contiguous
+        assert np.array_equal(in_f.probabilities(t), in_c.probabilities(t))
+
+
 def test_povm_json_roundtrip():
     t = ThetaParams(0.5, 0.3, 1.2)
     povm, _ = build_optimal_povm(t, np.diag([1.0, 2.0]))

@@ -17,13 +17,21 @@ from qest.bounds import (
     sld_cr_bound,
 )
 from qest.fisher import (
+    bloch_outcome_gradients,
     classical_fisher,
     outcome_gradients,
     rld_fisher_inverse,
+    sld_fisher,
     sld_fisher_inverse,
 )
-from qest.linalg import min_eig_det, psd_sqrt
-from qest.model import ThetaParams, bloch_derivatives, state_derivatives, state_from_theta
+from qest.linalg import eigh2, min_eig_det, psd_sqrt
+from qest.model import (
+    ThetaParams,
+    bloch_derivatives,
+    bloch_from_theta,
+    state_derivatives,
+    state_from_theta,
+)
 from qest.povm import (
     Povm,
     build_optimal_estimator,
@@ -249,8 +257,67 @@ def test_min_eig_det_matches_numpy(entries, power, rank_one):
         a, b, c = (sign * scale * v for v in (x * x, x * y, y * y))
     m = np.array([[a, b], [b, c]])
     low, det = min_eig_det(a, b, c)
-    assert abs(low - np.linalg.eigvalsh(m)[0]) <= 1e-12 * scale
-    assert abs(det - np.linalg.det(m)) <= 1e-12 * scale * scale
+    # numpy's LU determinant divides by zero on a rank-one m whose x^2 underflows
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want_low, want_det = np.linalg.eigvalsh(m)[0], np.linalg.det(m)
+    assert abs(low - want_low) <= 1e-12 * scale
+    assert abs(det - want_det) <= 1e-12 * scale * scale
+
+
+# 0, or of magnitude in [1e-3, 1]: far inside the range where LAPACK does not rescale
+entry = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))
+
+
+@SETTINGS
+@given(entry, entry, entry, st.sampled_from(("any", "zero", "under", "over", "equal")),
+       st.integers(-6, 6))
+def test_eigh2_matches_numpy(a, b, c, kind, power):
+    # dsteqr leaves [[a, b], [b, c]] unrotated when b^2 <= eps^2 |a| |c| + tiny,
+    # eps = 2^-53: "under" and "over" put b just either side of that line.
+    scale = 10.0**power
+    a, b, c = scale * a, scale * b, scale * (a if kind == "equal" else c)
+    line = 2.0**-53 * np.sqrt(abs(a) * abs(c))
+    b = {"zero": 0.0, "under": 0.999 * line, "over": 1.001 * line}.get(kind, b)
+    m = np.array([[a, b], [b, c]])
+    lam, vectors = eigh2(a, b, c)
+    want_lam, want = np.linalg.eigh(m)
+    got, want = np.array(vectors).T, want[:, ::-1]
+    assert np.all(np.sum(got * want, axis=0) > 0.0)  # each eigenvector's sign
+    assert np.max(np.abs(got - want)) <= 1e-15
+    assert np.max(np.abs(np.array(lam) - want_lam[::-1])) <= 1e-15 * np.abs(m).max()
+
+
+def _plan_reference(t, w):
+    """(directions, probabilities, lambdas) of the plan, through numpy."""
+    c = np.sqrt(1.0 - t.theta1**2 - t.theta2**2)
+    root = (sld_fisher_inverse(t, 2) + c * np.eye(2)) / (1.0 + c)
+    f = root @ w @ root
+    lam, u = np.linalg.eigh(0.5 * (f + f.T))
+    lam, u = lam[::-1], u[:, ::-1]
+    g = sld_fisher(t, 2)
+    e = np.array([[np.cos(t.theta3), 0.0], [np.sin(t.theta3), 0.0], [0.0, 1.0]])
+    v = e @ (g + np.sqrt(np.linalg.det(g)) * np.eye(2)) @ u
+    roots = np.sqrt(np.clip(lam, 0.0, None))
+    return (v / np.linalg.norm(v, axis=0)).T, roots / roots.sum(), lam
+
+
+@SETTINGS
+@given(cases())
+def test_plan_and_estimator_match_numpy(case):
+    t, w, phi = case
+    t = _turned(t, phi)
+    povm, plan = build_optimal_povm(t, w)
+    directions, probabilities, lam = _plan_reference(t, w)
+    assert np.all(np.sum(plan.directions * directions, axis=1) > 0.0)  # signs
+    assert np.max(np.abs(plan.directions - directions)) < 1e-12
+    assert np.max(np.abs(plan.probabilities - probabilities)) < 1e-12
+    assert np.max(np.abs(plan.lambdas - lam)) < 1e-12 * lam[0]
+    # theta + J^-1 grad p / p, J = sum_x grad p grad p^T / p
+    derivs = np.array(bloch_derivatives(t, 2))
+    p, dp = bloch_outcome_gradients(povm.weights, povm.axes, bloch_from_theta(t), derivs)
+    table = t.as_array(2) + (dp / p[:, None]) @ np.linalg.inv((dp.T / p) @ dp).T
+    got = build_optimal_estimator(t, w, povm).table
+    assert np.max(np.abs(got - table)) < 1e-12 * np.abs(table).max()
 
 
 def _nagaoka_reference(v2, ginv):

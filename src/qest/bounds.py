@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import bloch_rows
-from .fisher import rld_fisher_inverse, sld_fisher_inverse
+from .fisher import sld_inverse_entries
 from .linalg import eigh2, min_eig_det, symmetric
 
 __all__ = [
@@ -107,17 +107,11 @@ def _cofactors(r):
     return d * f - e * e, c * e - b * f, b * e - c * d, a * f - c * c
 
 
-def _ginv(t, scale=1.0):
-    """Entries (a, b, c) of scale * G^{-1} on the interest block, as in `sld_fisher_inverse`."""
-    t1, t2 = t.theta1, t.theta2
-    return scale * (1.0 - t1 * t1), scale * (-t1 * t2), scale * (1.0 - t2 * t2)
-
-
 def _sld_trace(t, r):
-    """Tr(W G^{-1}) for the weight rows r; the phase entry of G^{-1} is 1/t1^2."""
-    g = _ginv(t)
-    value = r[0][0] * g[0] + 2.0 * r[0][1] * g[1] + r[1][1] * g[2]
-    return value + r[2][2] / (t.theta1 * t.theta1) if len(r) == 3 else value
+    """Tr(W G^{-1}) for the weight rows r."""
+    a, b, c, _, g33 = sld_inverse_entries(t)
+    value = r[0][0] * a + 2.0 * r[0][1] * b + r[1][1] * c
+    return value + r[2][2] * g33 if len(r) == 3 else value
 
 
 def sld_cr_bound(t, k, w):
@@ -135,7 +129,7 @@ def rld_cr_bound(t, k, w):
     """
     r = _rows(_weight(w, k))
     if k == 2:
-        return (1.0 - t.theta1 * t.theta1 - t.theta2 * t.theta2) * (r[0][0] + r[1][1])
+        return sld_inverse_entries(t)[3] * (r[0][0] + r[1][1])
     a00, a01, _, a11 = _cofactors(r)
     ratio = t.theta2 / t.theta1
     return _sld_trace(t, r) + 2.0 * math.sqrt(a00 + 2.0 * ratio * a01 + ratio * ratio * a11)
@@ -145,7 +139,7 @@ def nagaoka_bound(t, w):
     """Nagaoka bound Tr(W G^{-1}) + 2 sqrt(det W det G^{-1}) for k=2."""
     r = _rows(_weight(w, 2))
     det = min_eig_det(r[0][0], r[0][1], r[1][1])[1]
-    return _sld_trace(t, r) + 2.0 * math.sqrt(det * (1.0 - t.theta1**2 - t.theta2**2))
+    return _sld_trace(t, r) + 2.0 * math.sqrt(det * sld_inverse_entries(t)[3])
 
 
 def hgm_bound(t, k, w):
@@ -161,8 +155,8 @@ def hgm_bound(t, k, w):
     k=3 from one `np.linalg.eigh`.
     """
     r = _rows(_weight(w, k))
-    c = math.sqrt(1.0 - t.theta1 * t.theta1 - t.theta2 * t.theta2)
-    p, q, s = _ginv(t)
+    p, q, s, det, _ = sld_inverse_entries(t)
+    c = math.sqrt(det)
     p, q, s = (p + c) / (1.0 + c), q / (1.0 + c), (s + c) / (1.0 + c)
     # rows of sqrt(M) W2, then F2 = sqrt(M) W2 sqrt(M)
     a0, a1 = p * r[0][0] + q * r[0][1], p * r[0][1] + q * r[1][1]
@@ -209,15 +203,12 @@ def holevo_bound_k3_block(t, w):
     w = _weight(w, 3)
     if not w.is_block:
         raise ValueError("explicit form requires a block weight")
-    ginv = sld_fisher_inverse(t, 2)
-    gtinv = rld_fisher_inverse(t, 2).real
-    g33 = 1.0 / (t.theta1 * t.theta1)
-    cross = float(np.trace(w.matrix @ (ginv - gtinv)))
-    return float(
-        np.trace(w.matrix @ ginv)
-        + w.w3 * g33
-        + 2.0 * np.sqrt(w.w3 * g33) * np.sqrt(max(cross, 0.0))
-    )
+    (w00, w01), (_, w11) = w.matrix.tolist()
+    a, b, c, det, g33 = sld_inverse_entries(t)
+    # Re Gt^{-1} = det I on the interest block
+    cross = w00 * (a - det) + 2.0 * w01 * b + w11 * (c - det)
+    return (w00 * a + 2.0 * w01 * b + w11 * c + w.w3 * g33
+            + 2.0 * math.sqrt(w.w3 * g33) * math.sqrt(max(cross, 0.0)))
 
 
 def holevo_bound_k2(t, w):

@@ -157,8 +157,6 @@ def cmd_povm(args):
 def cmd_region(args):
     t = ThetaParams.parse(args.theta)
     v = _read_csv_matrix(args.candidate)
-    if v.shape not in ((2, 2), (3, 3)):
-        raise ValueError(f"candidate matrix is {v.shape}, expected 2x2 or 3x3")
     verdict = REGION_PREDICATES[args.region](v, t)
     print(json.dumps(_round9(verdict.as_dict())))
     return 0

@@ -7,6 +7,7 @@ purely as an oracle for the first.
 """
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "sld_operators",
     "sld_operators_oracle",
     "sld_fisher",
+    "sld_inverse_entries",
     "sld_fisher_inverse",
     "rld_fisher",
     "rld_fisher_inverse",
@@ -100,21 +102,23 @@ def sld_fisher(t, k=3):
     return g
 
 
-def sld_fisher_inverse(t, k=3):
-    """Closed-form inverse of the SLD Fisher matrix.
+def sld_inverse_entries(t):
+    """G^{-1} as Python floats (a, b, c, det, g33); every bound reads it here.
 
-    k=2: [[1-t1^2, -t1 t2], [-t1 t2, 1-t2^2]].
-    k=3: the same 2x2 block, plus a decoupled 1/t1^2 phase block
-    (the parameters of interest are SLD-orthogonal to the phase).
+    The interest block is [[a, b], [b, c]] = [[1-t1^2, -t1 t2], [-t1 t2, 1-t2^2]]
+    with det = 1 - t1^2 - t2^2 (as written: a c - b^2 rounds differently),
+    and the phase entry g33 = 1/t1^2 is decoupled from it.
     """
     t1, t2 = t.theta1, t.theta2
-    g2 = np.array([[1.0 - t1 * t1, -t1 * t2], [-t1 * t2, 1.0 - t2 * t2]])
+    return 1.0 - t1 * t1, -t1 * t2, 1.0 - t2 * t2, 1.0 - t1 * t1 - t2 * t2, 1.0 / (t1 * t1)
+
+
+def sld_fisher_inverse(t, k=3):
+    """Inverse of the k x k SLD Fisher matrix, from `sld_inverse_entries`."""
+    a, b, c, _, g33 = sld_inverse_entries(t)
     if k == 2:
-        return g2
-    out = np.zeros((3, 3))
-    out[:2, :2] = g2
-    out[2, 2] = 1.0 / (t1 * t1)
-    return out
+        return np.array([[a, b], [b, c]])
+    return np.array([[a, b, 0.0], [b, c, 0.0], [0.0, 0.0, g33]])
 
 
 def rld_fisher(t, k=3):
@@ -138,10 +142,9 @@ def rld_fisher_inverse(t, k=3):
     closed-form inverse; the imaginary part couples the phase to the
     interest block with entries (1,3) = -t2/t1 and (2,3) = +1.
     """
-    t1, t2 = t.theta1, t.theta2
-    s2 = t1 * t1 + t2 * t2
     if k == 2:
-        return (1.0 - s2) * np.eye(2, dtype=complex)
+        return sld_inverse_entries(t)[3] * np.eye(2, dtype=complex)
+    t1, t2 = t.theta1, t.theta2
     out = sld_fisher_inverse(t, 3).astype(complex)
     out[0, 2] += -1j * t2 / t1
     out[2, 0] += 1j * t2 / t1
@@ -182,9 +185,12 @@ def _outcome_rows(t, povm, k):
 
 
 def _fisher_rows(t, povm, k):
-    """(p, dp, J): `_outcome_rows` and the rows of `classical_fisher`, as Python floats."""
+    """(scores, J) as Python floats: each outcome's score d log p(x) = dp/p,
+    a zero row for an outcome skipped as carrying no information, and the
+    rows of `classical_fisher`."""
     p, dp = _outcome_rows(t, povm, k)
-    j = [[0.0] * k for _ in range(k)]
+    upper = list(combinations_with_replacement(range(k), 2))  # a <= b, row by row
+    scores, j = [], [[0.0] * k for _ in range(k)]
     for label, px, grad in zip(povm.labels, p, dp):
         if px < 1e-14:
             steepness = max(abs(g) for g in grad)
@@ -192,15 +198,15 @@ def _fisher_rows(t, povm, k):
                 raise SingularModelError(
                     f"outcome {label!r} has zero probability but gradient {steepness:.3e}"
                 )
+            scores.append([0.0] * k)
             continue
-        for a in range(k):
-            scaled = grad[a] / px
-            for b in range(a, k):
-                j[a][b] += scaled * grad[b]
-    for a in range(k):
-        for b in range(a):
-            j[a][b] = j[b][a]
-    return p, dp, j
+        score = [g / px for g in grad]
+        scores.append(score)
+        for a, b in upper:
+            j[a][b] += score[a] * grad[b]
+    for a, b in upper:
+        j[b][a] = j[a][b]
+    return scores, j
 
 
 def classical_fisher(t, povm, k=3):
@@ -210,7 +216,7 @@ def classical_fisher(t, povm, k=3):
     d_i p(x) = Tr(d_i rho Pi_x).  Outcomes with p below 1e-14 contribute
     nothing when their gradient also vanishes, and raise otherwise.
     """
-    return np.array(_fisher_rows(t, povm, k)[2])
+    return np.array(_fisher_rows(t, povm, k)[1])
 
 
 def effective_fisher(j):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import hgm_bound
-from .fisher import _fisher_rows, _outcome_rows
+from .fisher import _fisher_rows, _outcome_rows, sld_inverse_entries
 from .linalg import min_eig_det
 from .model import SIGMA, SIGMA0, ThetaParams, bloch_from_theta
 
@@ -89,7 +89,12 @@ class Povm:
         labels = [str(label) for label in labels]
         weights = np.array(weights, dtype=float)
         # C order whatever the input's: the layout sets the last bits of axes @ s
-        axes = np.array(axes, dtype=float, order="C").reshape(-1, 3)
+        axes = np.array(axes, dtype=float, order="C")
+        if weights.ndim != 1 or axes.shape != (len(weights), 3) or len(labels) != len(weights):
+            raise ValueError(
+                f"need one label and one axis per weight, got {len(labels)} labels, "
+                f"weights of shape {weights.shape} and axes of shape {axes.shape}"
+            )
         _validate(labels, weights, weights[:, None] * axes)
         povm = cls.__new__(cls)
         povm.labels, povm.weights, povm.axes = tuple(labels), weights, axes
@@ -168,9 +173,9 @@ def optimal_povm_plan(t, w):
     """
     _, lam, u = hgm_bound(t, 2, w)
     (u00, u01), (u10, u11) = u.tolist()
-    t1, t2 = t.theta1, t.theta2
-    c = math.sqrt(1.0 - t1 * t1 - t2 * t2)
-    m00, m01, m11 = 1.0 - t2 * t2 + c, t1 * t2, 1.0 - t1 * t1 + c
+    a, b, c_entry, det, _ = sld_inverse_entries(t)
+    c = math.sqrt(det)
+    m00, m01, m11 = c_entry + c, -b, a + c
     c3, s3 = math.cos(t.theta3), math.sin(t.theta3)
     directions = []
     for x, y in ((u00, u10), (u01, u11)):
@@ -209,38 +214,22 @@ class QuantumEstimator:
                 writer.writerow([label] + [repr(v) for v in row])
 
 
-def build_optimal_estimator(t, w, povm, k=2):
-    """Locally unbiased estimator theta_i + sum_j (J^{-1})_ij d_j log p(x)."""
-    p, dp, j = _fisher_rows(t, povm, k)
-    jinv = _fisher_inverse(j)
-    theta = t.as_array(k).tolist()
-    rows = []
-    for px, grad in zip(p, dp):
-        if px < 1e-14:
-            rows.append(theta)
-            continue
-        scaled = [g / px for g in grad]
-        rows.append([x + sum(a * b for a, b in zip(row, scaled)) for x, row in zip(theta, jinv)])
-    return QuantumEstimator(povm, np.array(rows), t)
+def build_optimal_estimator(t, w, povm):
+    """Locally unbiased estimator theta_i + sum_j (J^{-1})_ij d_j log p(x) (k=2).
 
-
-def _fisher_inverse(j):
-    """Rows of J^{-1}; raises unless lambda_max / lambda_min <= 1e12.
-
-    That is the test np.linalg.cond(J) > 1e12 on a symmetric PSD J.  A
-    2x2 J is inverted through its adjugate, a 3x3 one with numpy.
+    J is inverted through its adjugate.  Raises unless
+    lambda_max / lambda_min <= 1e12, the test np.linalg.cond(J) > 1e12 on a
+    symmetric PSD J.  The weight w does not enter the estimator.
     """
-    if len(j) == 3:
-        j = np.array(j)
-        # inf, without a warning, for an exactly singular j
-        if np.linalg.cond(j) > 1e12:
-            raise RankDeficientMeasurementError("classical Fisher matrix is singular")
-        return np.linalg.inv(j).tolist()
-    (a, b), (_, c) = j
+    scores, ((a, b), (_, c)) = _fisher_rows(t, povm, 2)
     low, det = min_eig_det(a, b, c)
     if not low > 0.0 or a + c - low > 1e12 * low:
         raise RankDeficientMeasurementError("classical Fisher matrix is singular")
-    return [[c / det, -b / det], [-b / det, a / det]]
+    jinv = [[c / det, -b / det], [-b / det, a / det]]
+    theta = t.as_array(2).tolist()
+    rows = [[x + sum(u * v for u, v in zip(row, score)) for x, row in zip(theta, jinv)]
+            for score in scores]
+    return QuantumEstimator(povm, np.array(rows), t)
 
 
 def verify_locally_unbiased(estimator):

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _ginv, gamma_factor
+from .bounds import gamma_factor
+from .fisher import sld_inverse_entries
 from .linalg import min_eig_det, symmetric
 
 __all__ = [
@@ -67,7 +68,7 @@ def _nagaoka_margins(v2, g):
 
 def in_region_D(v, t):
     """Nagaoka MSE region: det(V - G^{-1}) >= det G^{-1} with V > G^{-1}."""
-    return _verdict(_nagaoka_margins(_candidate(v, 2)[1], _ginv(t)))
+    return _verdict(_nagaoka_margins(_candidate(v, 2)[1], sld_inverse_entries(t)[:3]))
 
 
 def in_region_D_GM(v, t):
@@ -76,7 +77,7 @@ def in_region_D_GM(v, t):
     eig, det = min_eig_det(*v)
     if eig <= 0:
         raise ValueError("candidate must be positive definite for the GM form")
-    g = _ginv(t)
+    g = sld_inverse_entries(t)
     margins = {  # V^{-1} = [[c, -b], [-b, a]] / det V
         "eigen_slack": _diff(v, g)[0],
         "trace_slack": 1.0 - (g[0] * v[2] - 2.0 * g[1] * v[1] + g[2] * v[0]) / det,
@@ -92,19 +93,20 @@ def in_region_D3(v, t):
     scaled by gamma.
     """
     r, v2 = _candidate(v, 3)
-    g33 = 1.0 / (t.theta1 * t.theta1)
+    a, b, c, _, g33 = sld_inverse_entries(t)
     v33_slack = r[2][2] - g33
     if v33_slack <= BOUNDARY_TOL:
         return RegionVerdict(False, {"v33_slack": v33_slack})
-    g = _ginv(t, gamma_factor(r[2][2], g33))
+    gamma = gamma_factor(r[2][2], g33)
+    g = (gamma * a, gamma * b, gamma * c)
     return _verdict({"v33_slack": v33_slack, **_nagaoka_margins(v2, g)})
 
 
 def in_region_SLD3(v, t):
     """Region allowed by the (unattainable) SLD CR bound for k=3."""
     r, v2 = _candidate(v, 3)
-    return _verdict({"eigen_slack": _diff(v2, _ginv(t))[0],
-                     "v33_slack": r[2][2] - 1.0 / (t.theta1 * t.theta1)})
+    g = sld_inverse_entries(t)
+    return _verdict({"eigen_slack": _diff(v2, g)[0], "v33_slack": r[2][2] - g[4]})
 
 
 def in_region_H(v, t):
@@ -113,20 +115,20 @@ def in_region_H(v, t):
     k=2: V >= G^{-1}.  k=3: v33 > g33, V2 > G^{-1}, and
     V2 >= gamma G^{-1} - (gamma - 1) Gt^{-1}, where Re Gt^{-1} = (1 - s^2) I.
     """
+    g = sld_inverse_entries(t)
     if np.shape(v) == (2, 2):
-        return _verdict({"eigen_slack": _diff(_candidate(v, 2)[1], _ginv(t))[0]})
+        return _verdict({"eigen_slack": _diff(_candidate(v, 2)[1], g)[0]})
     r, v2 = _candidate(v, 3)
-    g33 = 1.0 / (t.theta1 * t.theta1)
+    a, b, c, det, g33 = g
     v33_slack = r[2][2] - g33
     if v33_slack <= BOUNDARY_TOL:
         return RegionVerdict(False, {"v33_slack": v33_slack})
     gamma = gamma_factor(r[2][2], g33)
-    g = _ginv(t)
-    shift = (gamma - 1.0) * (1.0 - t.theta1 * t.theta1 - t.theta2 * t.theta2)
+    shift = (gamma - 1.0) * det
     margins = {
         "v33_slack": v33_slack,
         "interest_slack": _diff(v2, g)[0],
-        "holevo_slack": _diff(v2, (gamma * g[0] - shift, gamma * g[1], gamma * g[2] - shift))[0],
+        "holevo_slack": _diff(v2, (gamma * a - shift, gamma * b, gamma * c - shift))[0],
     }
     return _verdict(margins)
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bounds import WeightSpec, gamma_factor
-from .fisher import bloch_outcome_gradients, classical_fisher
+from .fisher import bloch_outcome_gradients, classical_fisher, sld_inverse_entries
 from .model import ThetaParams, bloch_derivatives, bloch_from_theta
 from .povm import Povm, build_optimal_estimator, build_optimal_povm, optimal_povm_plan
 
@@ -451,7 +451,7 @@ def run_two_step(cfg):
     w2 = _interest_weight(cfg.weight)
     m = int(cfg.n ** cfg.phase_fraction_exponent)
     n2 = cfg.n - m
-    g33 = 1.0 / (t.theta1 * t.theta1)
+    g33 = sld_inverse_entries(t)[4]
     # as Python floats: the phase stage does scalar arithmetic on them
     s = bloch_from_theta(t).tolist()
     anchor = ThetaParams(t.theta1, t.theta2, 0.0)

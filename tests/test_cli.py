@@ -162,6 +162,19 @@ def test_non_finite_candidate_is_one_error_line(tmp_path, bad, region):
     assert err.splitlines() == ["error: candidate MSE matrix entries must be finite"]
 
 
+@pytest.mark.parametrize("size, region", [(4, "D"), (4, "D3"), (4, "H"), (3, "D")])
+def test_candidate_of_wrong_shape_is_one_error_line(tmp_path, size, region):
+    # each predicate checks the shape it reads; the CLI adds no check of its own
+    path = tmp_path / "cand.csv"
+    path.write_text("\n".join(",".join(["1"] * size) for _ in range(size)) + "\n")
+    code, out, err = run_cli(
+        ["region", "--theta", "0.5,0.3,0.7", "--candidate", str(path), "--region", region]
+    )
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert f"got shape ({size}, {size})" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

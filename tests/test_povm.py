@@ -13,8 +13,10 @@ from qest.povm import (
     build_optimal_estimator,
     build_optimal_povm,
     build_phase_perturbed_povm,
+    optimal_povm_plan,
     verify_locally_unbiased,
 )
+from qest.simulate import TOMOGRAPHIC
 
 
 def random_cases(count, seed):
@@ -38,6 +40,28 @@ def test_povm_validation():
         Povm([("a", np.diag([1.5, 0.5])), ("b", np.diag([-0.5, 0.5]))])
     with pytest.raises(ValueError, match="not Hermitian"):
         Povm([("a", np.array([[0.5, 0.5], [0.0, 0.5]])), ("b", np.array([[0.5, -0.5], [0.0, 0.5]]))])
+
+
+@pytest.mark.parametrize(
+    "labels, weights, axes",
+    [
+        (["a"], [1.0, 1.0], [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]),
+        (["a", "b"], [1.0, 1.0], [[0.0, 0.0, 0.0]]),
+        (["a", "b"], [[1.0, 1.0]], [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]),
+        (["a", "b"], [1.0, 1.0], [0.0, 0.0, 1.0, 0.0, 0.0, -1.0]),
+    ],
+    ids=["label-short", "axis-broadcast", "weights-2d", "axes-flat"],
+)
+def test_from_bloch_needs_one_label_and_axis_per_weight(labels, weights, axes):
+    with pytest.raises(ValueError, match="one label and one axis per weight"):
+        Povm.from_bloch(labels, weights, axes)
+
+
+def test_from_bloch_builds_the_package_measurements():
+    assert (len(TOMOGRAPHIC), TOMOGRAPHIC.axes.shape) == (6, (6, 3))
+    measurement = optimal_povm_plan(ThetaParams(0.5, 0.3, 0.7), np.eye(2)).measurement()
+    assert measurement.labels == ("1+", "1-", "2+", "2-")
+    assert measurement.axes.shape == (4, 3)
 
 
 def test_povm_probabilities_sum_to_one():
@@ -183,6 +207,22 @@ def test_zero_information_measurement_is_rank_deficient():
     povm = Povm([("a", SIGMA0 / 2), ("b", SIGMA0 / 2)])
     with pytest.raises(RankDeficientMeasurementError, match="singular"):
         build_optimal_estimator(ThetaParams(0.6, 0.0, 0.3), np.eye(2), povm)
+
+
+def test_outcome_without_information_reads_the_anchor():
+    # an element of weight 0 has p = 0 and no gradient: it adds nothing to J,
+    # and the estimator maps it to the anchor
+    for t, w in random_cases(10, 36):
+        povm, _ = build_optimal_povm(t, w)
+        padded = Povm.from_bloch(
+            povm.labels + ("0",), np.append(povm.weights, 0.0), np.vstack((povm.axes, np.zeros(3)))
+        )
+        for k in (2, 3):
+            assert np.array_equal(classical_fisher(t, padded, k), classical_fisher(t, povm, k))
+        est = build_optimal_estimator(t, w, padded)
+        assert np.array_equal(est.table[-1], t.as_array(2))
+        assert np.array_equal(est.table[:-1], build_optimal_estimator(t, w, povm).table)
+        assert verify_locally_unbiased(est)["passed"]
 
 
 def test_estimator_locally_unbiased():

@@ -23,6 +23,7 @@ from qest.fisher import (
     rld_fisher_inverse,
     sld_fisher,
     sld_fisher_inverse,
+    sld_inverse_entries,
 )
 from qest.linalg import eigh2, min_eig_det, psd_sqrt
 from qest.model import (
@@ -138,6 +139,18 @@ def test_validation_rejects_non_psd_element(case, depth):
     elements["1-"] = elements["1-"] + depth * kernel
     with pytest.raises(ValueError, match="element '1\\+' is not PSD"):
         Povm(elements.items())
+
+
+@SETTINGS
+@given(cases())
+def test_sld_inverse_entries_invert_g(case):
+    # the one closed form of G^{-1} against the definition route; b vanishes
+    # with theta2, so it alone needs the absolute floor
+    t = case[0]
+    a, b, c, det, g33 = sld_inverse_entries(t)
+    ref = np.linalg.inv(sld_fisher(t, 3))
+    want = (ref[0, 0], ref[0, 1], ref[1, 1], np.linalg.det(ref[:2, :2]), ref[2, 2])
+    assert np.allclose((a, b, c, det, g33), want, rtol=1e-10, atol=1e-14)
 
 
 def _ordered(lower, upper):

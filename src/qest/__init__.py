@@ -11,7 +11,6 @@ from .fisher import (
     SingularModelError,
     classical_fisher,
     effective_fisher,
-    rld_fisher,
     rld_fisher_inverse,
     sld_fisher,
     sld_fisher_inverse,
@@ -64,7 +63,6 @@ __all__ = [
     "sld_operators_oracle",
     "sld_fisher",
     "sld_fisher_inverse",
-    "rld_fisher",
     "rld_fisher_inverse",
     "classical_fisher",
     "effective_fisher",

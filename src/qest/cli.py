@@ -162,6 +162,21 @@ def cmd_region(args):
     return 0
 
 
+def _simulate_row(cfg, args):
+    """Run cfg; its JSON row, the integer counters of its diagnostics included."""
+    res = run(cfg)
+    print(f"n={cfg.n} done ({args.trials} trials)", file=sys.stderr)
+    return {
+        "n": cfg.n,
+        "n_weighted_mse": res.n_times_weighted_mse,
+        "stderr": res.stderr,
+        "gamma": res.diagnostics.get("gamma", float("nan")),
+        "strategy": args.strategy,
+        "empirical_mse": res.empirical_mse.tolist(),
+        "diagnostics": {k: v for k, v in res.diagnostics.items() if isinstance(v, int)},
+    }
+
+
 def cmd_simulate(args):
     t = ThetaParams.parse(args.theta)
     k = 2 if args.nuisance == "known" else 3
@@ -175,25 +190,19 @@ def cmd_simulate(args):
         )
         for n in grid
     ]
-    # opened before the first run, so that an unwritable path fails first
-    with open(args.csv, "w", newline="") if args.csv else nullcontext() as fh:
-        results = []
-        for cfg in configs:
-            res = run(cfg)
-            results.append(
-                {
-                    "n": cfg.n,
-                    "n_weighted_mse": res.n_times_weighted_mse,
-                    "stderr": res.stderr,
-                    "gamma": res.diagnostics.get("gamma", float("nan")),
-                    "strategy": args.strategy,
-                    "empirical_mse": res.empirical_mse.tolist(),
-                    "diagnostics": {k: v for k, v in res.diagnostics.items()
-                                    if isinstance(v, int)},
-                }
-            )
-            print(f"n={cfg.n} done ({args.trials} trials)", file=sys.stderr)
+    # opened before the first run, so that an unwritable path fails first;
+    # emptied only once every run succeeded, and removed if it is new
+    existed = bool(args.csv) and os.path.exists(args.csv)
+    with open(args.csv, "a", newline="") if args.csv else nullcontext() as fh:
+        try:
+            results = [_simulate_row(cfg, args) for cfg in configs]
+        except BaseException:
+            if fh is not None and not existed:
+                fh.close()
+                os.remove(args.csv)
+            raise
         if fh is not None:
+            fh.truncate(0)
             writer = csv.writer(fh)
             writer.writerow(["n", "n_weighted_mse", "stderr", "gamma", "strategy"])
             for row in results:
@@ -241,8 +250,18 @@ def cmd_sweep(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a malformed command line as one line.
+
+    Subparsers are built with the parser's class, so they report alike.
+    """
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qest",
         description="Qubit estimation bounds, optimal measurements, and simulations.",
     )

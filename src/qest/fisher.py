@@ -30,10 +30,8 @@ __all__ = [
     "sld_fisher",
     "sld_inverse_entries",
     "sld_fisher_inverse",
-    "rld_fisher",
     "rld_fisher_inverse",
     "bloch_outcome_gradients",
-    "outcome_gradients",
     "classical_fisher",
     "effective_fisher",
 ]
@@ -121,20 +119,6 @@ def sld_fisher_inverse(t, k=3):
     return np.array([[a, b, 0.0], [b, c, 0.0], [0.0, 0.0, g33]])
 
 
-def rld_fisher(t, k=3):
-    """RLD Fisher information matrix (k x k, complex Hermitian)."""
-    s = bloch_from_theta(t)
-    s2 = float(s @ s)
-    derivs = bloch_derivatives(t, k)
-    g = np.empty((k, k), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            g[i, j] = (
-                derivs[i] @ derivs[j] + 1j * (np.cross(derivs[i], derivs[j]) @ s)
-            ) / (1.0 - s2)
-    return g
-
-
 def rld_fisher_inverse(t, k=3):
     """Closed-form inverse of the RLD Fisher matrix.
 
@@ -163,18 +147,10 @@ def bloch_outcome_gradients(weights, axes, s, derivs):
     return half * (1.0 + axes @ s), half[:, None] * (axes @ derivs.T)
 
 
-def outcome_gradients(t, povm, k=3):
-    """Outcome probabilities Tr(rho Pi_x) and gradients Tr(d_i rho Pi_x).
-
-    Returns (p, dp) of shapes (m,) and (m, k), in the POVM's element order.
-    """
-    p, dp = _outcome_rows(t, povm, k)
-    return np.array(p), np.array(dp)
-
-
 def _outcome_rows(t, povm, k):
-    """`outcome_gradients` as Python floats: p, a list of m values, and dp,
-    a list of m rows of k; `bloch_outcome_gradients` for one POVM."""
+    """Outcome probabilities Tr(rho Pi_x) and gradients Tr(d_i rho Pi_x) as
+    Python floats: p, a list of m values, and dp, a list of m rows of k, in
+    the POVM's element order; `bloch_outcome_gradients` for one POVM."""
     s, derivs = bloch_rows(t, k)
     p, dp = [], []
     for w, (a0, a1, a2) in zip(povm.weights.tolist(), povm.axes.tolist()):

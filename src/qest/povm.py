@@ -59,36 +59,14 @@ class Povm:
     """A finite labeled POVM on C^2 in Bloch form.
 
     Element x is weights[x] (I + axes[x] . sigma)/2: axes[x] is a unit
-    vector for a projective element and 0 for a zero element.  Built from
-    (label, 2x2 Hermitian PSD matrix) pairs summing to the identity, or
-    with `from_bloch`; both run the same checks and store the axes in C
-    order.  Iterating yields the (label, matrix) pairs.
+    vector for a projective element and 0 for a zero element.  The axes are
+    stored in C order whatever the input's: the layout sets the last bits
+    of axes @ s.  Iterating yields the (label, 2x2 matrix) pairs.
     """
 
-    def __init__(self, elements):
-        labels, mats = [], []
-        for label, m in elements:
-            m = np.asarray(m, dtype=complex)
-            if m.shape != (2, 2):
-                raise ValueError(f"element {label!r} is not 2x2")
-            if not np.allclose(m, m.conj().T, atol=1e-12, rtol=0.0):
-                raise ValueError(f"element {label!r} is not Hermitian")
-            labels.append(str(label))
-            mats.append(m)
-        mats = np.array(mats).reshape(-1, 2, 2)
-        # M = (w I + b . sigma)/2 with w = tr M and b_k = tr(M sigma_k)
-        weights = np.trace(mats, axis1=1, axis2=2).real
-        coeffs = np.einsum("xij,kji->xk", mats, SIGMA).real
-        _validate(labels, weights, coeffs)
-        self.labels, self.weights = tuple(labels), weights
-        self.axes = coeffs / np.where(weights > 0.0, weights, np.inf)[:, None]
-
-    @classmethod
-    def from_bloch(cls, labels, weights, axes):
-        """The POVM with elements weights[x] (I + axes[x] . sigma)/2."""
+    def __init__(self, labels, weights, axes):
         labels = [str(label) for label in labels]
         weights = np.array(weights, dtype=float)
-        # C order whatever the input's: the layout sets the last bits of axes @ s
         axes = np.array(axes, dtype=float, order="C")
         if weights.ndim != 1 or axes.shape != (len(weights), 3) or len(labels) != len(weights):
             raise ValueError(
@@ -96,9 +74,7 @@ class Povm:
                 f"weights of shape {weights.shape} and axes of shape {axes.shape}"
             )
         _validate(labels, weights, weights[:, None] * axes)
-        povm = cls.__new__(cls)
-        povm.labels, povm.weights, povm.axes = tuple(labels), weights, axes
-        return povm
+        self.labels, self.weights, self.axes = tuple(labels), weights, axes
 
     def __iter__(self):
         coeffs = np.tensordot(self.weights[:, None] * self.axes, SIGMA, axes=1)
@@ -128,15 +104,6 @@ class Povm:
         ]
         return json.dumps(payload)
 
-    @classmethod
-    def from_json(cls, text):
-        payload = json.loads(text)
-        elements = []
-        for item in payload:
-            flat = np.array([complex(re, im) for re, im in item["matrix"]])
-            elements.append((item["label"], flat.reshape(2, 2)))
-        return cls(elements)
-
 
 @dataclass(frozen=True)
 class OptimalPovmPlan:
@@ -153,7 +120,7 @@ class OptimalPovmPlan:
             labels += (f"{i + 1}+", f"{i + 1}-")
             weights += (p, p)
             axes += (n, [-x for x in n])
-        return Povm.from_bloch(labels, weights, axes)
+        return Povm(labels, weights, axes)
 
 
 def optimal_povm_plan(t, w):

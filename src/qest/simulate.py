@@ -126,10 +126,10 @@ class SimConfig:
         streams: the `TrialStreams` of a run, which holds the hashed states
         of its trials and one generator that each call restarts on trial's
         stream, so draw from it before the next call.  Without streams,
-        trial is hashed alone into a new generator.
+        that is a new generator, ``default_rng((seed, trial))`` itself.
         """
         if streams is None:
-            streams = TrialStreams(self.seed, range(trial, trial + 1))
+            return np.random.default_rng((self.seed, trial))
         return streams.load(trial)
 
 
@@ -224,23 +224,17 @@ def _mul64(a, b):
 def _pcg64_states(seed, trials):
     """(state, inc) of ``default_rng((seed, trial)).bit_generator`` for each trial.
 
-    trials: non-negative ints below 2^64.  The entropy is the 32-bit words of
-    seed, then those of trial; PCG64 seeds from the words (s_hi, s_lo, i_hi,
-    i_lo) with inc = 2 i + 1 and state = (inc + s) MULT + inc, mod 2^128.
+    trials: non-negative ints below 2^32.  The entropy is the 32-bit words of
+    seed, then trial; PCG64 seeds from the words (s_hi, s_lo, i_hi, i_lo)
+    with inc = 2 i + 1 and state = (inc + s) MULT + inc, mod 2^128.
     Each 128-bit value is a pair of uint64 arrays, high and low word, which
     wrap mod 2^64; a sum carries into the high word when its low word is
     below an addend's.
     """
     trials = np.asarray(trials, dtype=np.uint64)
-    low, high = trials & _MASK32, trials >> 32
     seed_words = np.array(_int_words(seed), dtype=np.uint64)[:, None]
-    words = np.empty((4, len(trials)), dtype=np.uint64)
-    for rows, trial_words in ((high == 0, [low]), (high != 0, [low, high])):
-        if rows.any():
-            entropy = np.vstack([np.repeat(seed_words, rows.sum(), axis=1)]
-                                + [w[rows] for w in trial_words])
-            words[:, rows] = _seed_sequence_words(entropy)
-    s_hi, s_lo, i_hi, i_lo = words
+    entropy = np.vstack((np.repeat(seed_words, len(trials), axis=1), trials))
+    s_hi, s_lo, i_hi, i_lo = _seed_sequence_words(entropy)
     inc_hi, inc_lo = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
     lo = inc_lo + s_lo
     hi = inc_hi + s_hi + (lo < inc_lo)
@@ -273,10 +267,13 @@ class TrialStreams:
 
     They are hashed at construction, all in one vectorized pass; `load`
     sets one of them in the one generator this object keeps.  trials: a
-    range of non-negative ints below 2^64.
+    range of non-negative ints below 2^32, one entropy word each; a run's
+    trial count cannot reach 2^32.
     """
 
     def __init__(self, seed, trials):
+        if trials and max(trials[0], trials[-1]) > _MASK32:
+            raise ValueError(f"trials must be below 2^32, got {trials}")
         self._trials = trials
         self._states = _pcg64_states(seed, trials)
         # every use of the generator follows a load, so its first state is free
@@ -493,7 +490,7 @@ def _wrap_angle(delta):
 
 # sigma1, sigma2 and sigma3 PVMs, each measured on a third of the copies:
 # axes +e1, -e1, +e2, -e2, +e3, -e3
-TOMOGRAPHIC = Povm.from_bloch(
+TOMOGRAPHIC = Povm(
     ("s1+", "s1-", "s2+", "s2-", "s3+", "s3-"),
     np.full(6, 1.0 / 3.0),
     np.kron(np.eye(3), [[1.0], [-1.0]]),

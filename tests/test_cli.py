@@ -1,11 +1,13 @@
 """Command-line interface: parsing, output formats, error handling."""
 
 import csv
+import importlib.metadata
 import io
 import json
 import os
 import subprocess
 import sys
+import tomllib
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -188,6 +190,55 @@ def test_unwritable_output_file_is_one_error_line(tmp_path, argv):
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1
     assert err.startswith("error: [Errno 2]")
+
+
+@pytest.mark.parametrize("existing", [b"n,stderr\r\n10,0.5\r\n", None], ids=["existing", "new"])
+def test_failed_simulate_leaves_the_csv_as_it_was(tmp_path, monkeypatch, existing):
+    def fail(cfg):
+        raise ValueError("the run failed")
+
+    monkeypatch.setattr("qest.cli.run", fail)
+    path = tmp_path / "out.csv"
+    if existing is not None:
+        path.write_bytes(existing)
+    code, out, err = run_cli(
+        ["simulate", "--theta", "0.6,0,0.3", "--n", "100", "--trials", "2", "--csv", str(path)]
+    )
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: the run failed"]
+    if existing is None:
+        assert not path.exists()
+    else:
+        assert path.read_bytes() == existing
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--theta", "0.6,0,0.3", "--trials", "1e3"],
+        ["simulate", "--theta", "0.6,0,0.3", "--seed", "1.5"],
+        ["simulate", "--theta", "0.6,0,0.3", "--trials", "abc"],
+        ["sweep", "--theta", "0.6,0,0.3", "--axis", "theta1", "--min", "0.1", "--max", "0.5",
+         "--steps", "2.5"],
+    ],
+    ids=["trials-1e3", "seed-1.5", "trials-abc", "steps-2.5"],
+)
+def test_malformed_flag_value_is_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert out.getvalue() == ""
+    assert len(err.getvalue().splitlines()) == 1
+    assert err.getvalue().startswith(f"error: argument {argv[-2]}: invalid int value")
+
+
+def test_help_prints_the_usage():
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit) as exit_:
+        main(["simulate", "--help"])
+    assert exit_.value.code == 0
+    assert out.getvalue().startswith("usage: qest simulate")
 
 
 def test_simulate_json_and_csv(tmp_path):
@@ -401,6 +452,19 @@ def test_runs_without_scipy():
     assert json.loads(proc.stdout)["holevo"] > 0.0
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     assert "scipy" not in pyproject.read_text().lower()
+
+
+def test_requires_python_is_that_of_the_pinned_numpy():
+    # An install must be able to resolve numpy: with the pinned minimum
+    # installed, its Requires-Python is the floor of this package's.
+    project = tomllib.loads(
+        (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    )["project"]
+    pin = next(d for d in project["dependencies"] if d.startswith("numpy>="))
+    numpy_meta = importlib.metadata.metadata("numpy")
+    if numpy_meta["Version"] != pin.removeprefix("numpy>="):
+        pytest.skip(f"numpy {numpy_meta['Version']} is not the pinned minimum ({pin})")
+    assert project["requires-python"] == numpy_meta["Requires-Python"]
 
 
 def test_bounds_cold_start_does_not_import_numpy_random():

@@ -6,15 +6,35 @@ import pytest
 from qest.fisher import (
     classical_fisher,
     effective_fisher,
-    rld_fisher,
     rld_fisher_inverse,
     sld_fisher,
     sld_fisher_inverse,
     sld_operators,
     sld_operators_oracle,
 )
-from qest.model import SIGMA0, ThetaParams, state_from_theta, state_derivatives
+from qest.model import (
+    ThetaParams,
+    bloch_derivatives,
+    bloch_from_theta,
+    state_derivatives,
+    state_from_theta,
+)
 from qest.povm import Povm, build_optimal_povm
+
+
+def rld_fisher(t, k=3):
+    """RLD Fisher information matrix (k x k, complex Hermitian), the oracle
+    that `rld_fisher_inverse` is checked against."""
+    s = bloch_from_theta(t)
+    s2 = float(s @ s)
+    derivs = bloch_derivatives(t, k)
+    g = np.empty((k, k), dtype=complex)
+    for i in range(k):
+        for j in range(k):
+            g[i, j] = (
+                derivs[i] @ derivs[j] + 1j * (np.cross(derivs[i], derivs[j]) @ s)
+            ) / (1.0 - s2)
+    return g
 
 
 def random_points(count, seed):
@@ -130,7 +150,7 @@ def test_sld_rld_ordering():
 
 
 def test_classical_fisher_constant_povm_is_zero():
-    povm = Povm([("a", SIGMA0 / 2), ("b", SIGMA0 / 2)])
+    povm = Povm(["a", "b"], [1.0, 1.0], np.zeros((2, 3)))
     t = ThetaParams(0.6, 0.0, 0.3)
     assert np.allclose(classical_fisher(t, povm, 3), 0.0, atol=1e-14)
 
@@ -148,10 +168,7 @@ def test_classical_fisher_monotone_under_sld():
     for t in random_points(25, 14):
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
-        proj = 0.5 * (SIGMA0 + np.einsum("i,ijk->jk", axis, np.array(
-            [[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]
-        )))
-        povm = Povm([("+", proj), ("-", SIGMA0 - proj)])
+        povm = Povm(["+", "-"], [1.0, 1.0], [axis, -axis])
         j = classical_fisher(t, povm, 3)
         diff = sld_fisher(t, 3) - j
         assert np.min(np.linalg.eigvalsh(diff)) > -1e-9

@@ -1,5 +1,7 @@
 """POVM model, optimal measurement construction, locally unbiased estimator."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -34,12 +36,14 @@ def random_cases(count, seed):
 
 
 def test_povm_validation():
+    # weights summing to 1.5, and axes longer than 1; a Bloch form is
+    # Hermitian by construction
     with pytest.raises(ValueError, match="sum to the identity"):
-        Povm([("a", SIGMA0 / 2), ("b", SIGMA0 / 4)])
-    with pytest.raises(ValueError, match="not PSD"):
-        Povm([("a", np.diag([1.5, 0.5])), ("b", np.diag([-0.5, 0.5]))])
-    with pytest.raises(ValueError, match="not Hermitian"):
-        Povm([("a", np.array([[0.5, 0.5], [0.0, 0.5]])), ("b", np.array([[0.5, -0.5], [0.0, 0.5]]))])
+        Povm(["a", "b"], [1.0, 0.5], np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="sum to the identity"):
+        Povm(["a", "b"], [1.0, 1.0], [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="element 'a' is not PSD"):
+        Povm(["a", "b"], [1.0, 1.0], [[0.0, 0.0, 1.5], [0.0, 0.0, -1.5]])
 
 
 @pytest.mark.parametrize(
@@ -54,7 +58,7 @@ def test_povm_validation():
 )
 def test_from_bloch_needs_one_label_and_axis_per_weight(labels, weights, axes):
     with pytest.raises(ValueError, match="one label and one axis per weight"):
-        Povm.from_bloch(labels, weights, axes)
+        Povm(labels, weights, axes)
 
 
 def test_from_bloch_builds_the_package_measurements():
@@ -73,30 +77,33 @@ def test_povm_probabilities_sum_to_one():
 
 
 def test_povm_axes_are_stored_in_c_order():
-    # axes @ s gives different last bits for C- and F-ordered axes, so both
-    # constructors store C order, whatever order their input is in.
+    # axes @ s gives different last bits for C- and F-ordered axes, so the
+    # constructor stores C order, whatever order its input is in.
     povm, _ = build_optimal_povm(ThetaParams(0.5, 0.3, 1.2), np.diag([1.0, 2.0]))
     assert povm.axes.flags.c_contiguous
-    assert Povm(list(povm)).axes.flags.c_contiguous
     rng = np.random.default_rng(35)
     labels, weights = [str(x) for x in range(6)], np.full(6, 1.0 / 3.0)
     for t, _ in random_cases(40, 35):
         units = rng.normal(size=(3, 3))
         units /= np.linalg.norm(units, axis=1)[:, None]
         axes = np.stack((units, -units), axis=1).reshape(6, 3)
-        in_f = Povm.from_bloch(labels, weights, np.asfortranarray(axes))
-        in_c = Povm.from_bloch(labels, weights, np.ascontiguousarray(axes))
+        in_f = Povm(labels, weights, np.asfortranarray(axes))
+        in_c = Povm(labels, weights, np.ascontiguousarray(axes))
         assert in_f.axes.flags.c_contiguous
         assert np.array_equal(in_f.probabilities(t), in_c.probabilities(t))
 
 
 def test_povm_json_roundtrip():
+    # the JSON holds each element's matrix w (I + a . sigma)/2, row-major,
+    # written out here entry by entry
     t = ThetaParams(0.5, 0.3, 1.2)
     povm, _ = build_optimal_povm(t, np.diag([1.0, 2.0]))
-    clone = Povm.from_json(povm.to_json())
-    assert clone.labels == povm.labels
-    for (_, a), (_, b) in zip(povm, clone):
-        assert np.allclose(a, b, atol=0.0)
+    payload = json.loads(povm.to_json())
+    assert tuple(item["label"] for item in payload) == povm.labels
+    for item, w, a in zip(payload, povm.weights, povm.axes):
+        m = np.array([complex(re, im) for re, im in item["matrix"]]).reshape(2, 2)
+        want = 0.5 * w * np.array([[1 + a[2], a[0] - 1j * a[1]], [a[0] + 1j * a[1], 1 - a[2]]])
+        assert np.allclose(m, want, rtol=0.0, atol=1e-15)
 
 
 def test_optimal_povm_identity_weight_directions():
@@ -204,7 +211,7 @@ def test_rotation_covariance():
 
 def test_zero_information_measurement_is_rank_deficient():
     # {I/2, I/2} ignores the state: its classical Fisher matrix is 0.
-    povm = Povm([("a", SIGMA0 / 2), ("b", SIGMA0 / 2)])
+    povm = Povm(["a", "b"], [1.0, 1.0], np.zeros((2, 3)))
     with pytest.raises(RankDeficientMeasurementError, match="singular"):
         build_optimal_estimator(ThetaParams(0.6, 0.0, 0.3), np.eye(2), povm)
 
@@ -214,7 +221,7 @@ def test_outcome_without_information_reads_the_anchor():
     # and the estimator maps it to the anchor
     for t, w in random_cases(10, 36):
         povm, _ = build_optimal_povm(t, w)
-        padded = Povm.from_bloch(
+        padded = Povm(
             povm.labels + ("0",), np.append(povm.weights, 0.0), np.vstack((povm.axes, np.zeros(3)))
         )
         for k in (2, 3):

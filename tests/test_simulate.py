@@ -5,7 +5,7 @@ import pytest
 
 from qest.bounds import WeightSpec, nagaoka_bound
 from qest.fisher import classical_fisher
-from qest.model import SIGMA0, ThetaParams, bloch_derivatives, bloch_from_theta
+from qest.model import ThetaParams, bloch_derivatives, bloch_from_theta
 from qest.povm import Povm, build_optimal_povm, optimal_povm_plan
 from qest import simulate
 from qest.simulate import (
@@ -27,7 +27,7 @@ W = WeightSpec.identity(2)
 
 
 def test_sample_outcomes_fair_coin():
-    povm = Povm([("a", SIGMA0 / 2), ("b", SIGMA0 / 2)])
+    povm = Povm(["a", "b"], [1.0, 1.0], np.zeros((2, 3)))
     counts = sample_outcomes(T, povm, 10**6, np.random.default_rng(0))
     assert counts.sum() == 10**6
     # 5 sigma band around the mean, sigma = sqrt(n p (1-p)) = 500.
@@ -35,7 +35,7 @@ def test_sample_outcomes_fair_coin():
 
 
 def test_sample_outcomes_deterministic_povm():
-    povm = Povm([("only", SIGMA0)])
+    povm = Povm(["only"], [2.0], np.zeros((1, 3)))
     counts = sample_outcomes(T, povm, 1000, np.random.default_rng(1))
     assert counts.tolist() == [1000]
 
@@ -215,20 +215,27 @@ def test_trial_rng_contract_for_repeated_calls():
 
 
 def test_trial_streams_across_the_32_bit_word_boundary():
-    # Trials below 2^32 are one entropy word, the rest two; one table holds both.
-    trials = range(2**32 - 2, 2**32 + 2)
-    streams = TrialStreams(2**40 + 7, trials)
-    for trial in trials:
-        want = np.random.default_rng((2**40 + 7, trial)).bit_generator.state
-        assert streams.load(trial).bit_generator.state == want
+    # A run's trials are below 2^32, one entropy word each: the streams
+    # refuse two-word trials, and a lone trial's generator still serves them.
+    seed = 2**40 + 7
+    with pytest.raises(ValueError, match="below 2\\^32"):
+        TrialStreams(seed, range(2**32 - 2, 2**32 + 2))
+    with pytest.raises(ValueError, match="below 2\\^32"):
+        TrialStreams(seed, range(2**32, 2**32 + 1))
+    streams = TrialStreams(seed, range(2**32 - 2, 2**32))
+    cfg = SimConfig(T, W, "two-step", n=100, trials=2, seed=seed)
+    for trial in range(2**32 - 2, 2**32 + 2):
+        want = np.random.default_rng((seed, trial)).bit_generator.state
+        if trial < 2**32:
+            assert streams.load(trial).bit_generator.state == want
+        assert cfg.trial_rng(trial).bit_generator.state == want
 
 
 @pytest.mark.parametrize("seed", [2**128, 2**200 + 12345, 2**2000 + 3],
                          ids=["2^128", "2^200+12345", "2^2000+3"])
 def test_trial_streams_for_seeds_longer_than_128_bits(seed):
-    # Seeds of 5 to 63 entropy words, with trials of one and two words.
-    trials = range(2**32 - 2, 2**32 + 2)
-    for streams_trials in (range(3), trials):
+    # Seeds of 5 to 63 entropy words, with the first and the last one-word trials.
+    for streams_trials in (range(3), range(2**32 - 3, 2**32)):
         streams = TrialStreams(seed, streams_trials)
         for trial in streams_trials:
             want = np.random.default_rng((seed, trial)).bit_generator.state

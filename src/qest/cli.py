@@ -2,8 +2,7 @@
 
 All numeric output is printed with 9 significant digits.  Results go to
 standard output; diagnostics and errors go to standard error.  The exit
-code is 0 iff the command completed without error.  The environment
-variable QEST_SEED, when set, overrides the --seed flag.
+code is 0 iff the command completed without error.
 """
 
 import argparse
@@ -90,9 +89,10 @@ def _read_csv_matrix(path):
     return np.array(rows)
 
 
-def _weight_spec(args, k):
+def _weight_spec(args):
+    """The block weight diag(W, w3) (k=3) when --w3 is given, else W (k=2)."""
     w2 = _parse_weight(args.weight, 2)
-    return WeightSpec.block(w2, args.w3) if k == 3 else WeightSpec(w2)
+    return WeightSpec(w2) if args.w3 is None else WeightSpec.block(w2, args.w3)
 
 
 def _add_theta(parser):
@@ -109,26 +109,23 @@ def _add_weight(parser):
         help="2x2 weight for the parameters of interest: 'identity', inline "
              "row-major CSV (e.g. '1,0,0,2'), or a CSV file path (@path works too)",
     )
+
+
+def _add_w3(parser):
     parser.add_argument(
-        "--nuisance", choices=("known", "unknown"), default="known",
-        help="'known' restricts to the two interest parameters (k=2); "
-             "'unknown' includes the phase (k=3, block weight with --w3)",
-    )
-    parser.add_argument(
-        "--w3", type=float, default=1.0,
-        help="weight on the phase parameter when --nuisance unknown",
+        "--w3", type=float, default=None,
+        help="weight on the phase error; giving it makes the phase unknown, k=3",
     )
 
 
 def cmd_bounds(args):
     t = ThetaParams.parse(args.theta)
-    k = 2 if args.nuisance == "known" else 3
-    w = _weight_spec(args, k)
-    report = bound_report(t, k, w)
+    w = _weight_spec(args)
+    report = bound_report(t, w.k, w)
     if args.output == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(BOUND_COLUMNS + ("k",))
-        writer.writerow([_fmt(getattr(report, c)) for c in BOUND_COLUMNS] + [k])
+        writer.writerow([_fmt(getattr(report, c)) for c in BOUND_COLUMNS] + [w.k])
     else:
         print(json.dumps(_round9(report.as_dict())))
     return 0
@@ -179,13 +176,11 @@ def _simulate_row(cfg, args):
 
 def cmd_simulate(args):
     t = ThetaParams.parse(args.theta)
-    k = 2 if args.nuisance == "known" else 3
-    w = _weight_spec(args, k)
-    seed = int(os.environ.get("QEST_SEED", args.seed))
+    w = WeightSpec(_parse_weight(args.weight, 2))
     grid = sorted({_parse_count(v) for v in args.n.split(",")})
     configs = [
         SimConfig(
-            t, w, args.strategy, n, args.trials, seed=seed,
+            t, w, args.strategy, n, args.trials, seed=args.seed,
             phase_fraction_exponent=args.exponent, batch_size=args.batch_size,
         )
         for n in grid
@@ -210,7 +205,7 @@ def cmd_simulate(args):
                     [row["n"], _fmt(row["n_weighted_mse"]), _fmt(row["stderr"]),
                      _fmt(row["gamma"]), row["strategy"]]
                 )
-    print(json.dumps(_round9({"seed": seed, "results": results})))
+    print(json.dumps(_round9({"seed": args.seed, "results": results})))
     if args.csv:
         print(f"per-n table written to {args.csv}", file=sys.stderr)
     return 0
@@ -224,8 +219,7 @@ def cmd_sweep(args):
     if args.steps < 1:
         raise ValueError("steps must be at least 1")
     values = np.linspace(args.min, args.max, args.steps)  # [min] when steps == 1
-    k = 2 if args.nuisance == "known" else 3
-    w = _weight_spec(args, k)
+    w = _weight_spec(args)
     rows = []  # printed only once every point succeeded: no partial CSV
     singular = outside = 0
     for value in values:
@@ -236,7 +230,7 @@ def cmd_sweep(args):
         elif point[0] ** 2 + point[1] ** 2 >= 1.0:
             outside += 1
         else:
-            report = bound_report(ThetaParams(*point), k, w)
+            report = bound_report(ThetaParams(*point), w.k, w)
             rows.append([_fmt(value)] + [_fmt(getattr(report, c)) for c in BOUND_COLUMNS])
     writer = csv.writer(sys.stdout)
     writer.writerow([args.axis] + list(BOUND_COLUMNS))
@@ -270,15 +264,13 @@ def build_parser():
     p = sub.add_parser("bounds", help="precision bound values at a model point")
     _add_theta(p)
     _add_weight(p)
+    _add_w3(p)
     p.add_argument("--output", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("povm", help="optimal measurement and estimator construction")
     _add_theta(p)
-    p.add_argument(
-        "--weight", default="identity",
-        help="2x2 weight: 'identity', inline row-major CSV, or a CSV file path",
-    )
+    _add_weight(p)
     p.add_argument(
         "--estimates-csv", default=None, metavar="PATH",
         help="also write the locally unbiased estimator table as CSV",
@@ -306,8 +298,7 @@ def build_parser():
         help="number of copies per trial; a comma-separated list runs a grid",
     )
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0,
-                   help="base RNG seed (QEST_SEED environment variable overrides)")
+    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p.add_argument("--exponent", type=float, default=0.5,
                    help="two-step phase stage uses floor(n^exponent) copies")
     p.add_argument("--batch-size", type=int, default=100,
@@ -319,6 +310,7 @@ def build_parser():
     p = sub.add_parser("sweep", help="bound values along a parameter grid, CSV output")
     _add_theta(p)
     _add_weight(p)
+    _add_w3(p)
     p.add_argument("--axis", choices=("theta1", "theta2", "theta3"), required=True)
     p.add_argument("--min", type=float, required=True)
     p.add_argument("--max", type=float, required=True)
@@ -333,8 +325,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # a bare MemoryError() has an empty message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

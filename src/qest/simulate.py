@@ -294,9 +294,9 @@ class TrialStreams:
 class SimResult:
     """The empirical MSE of a run, its weighted trace and stderr, and diagnostics.
 
-    diagnostics holds the strategy's own entries; its int values are the
-    run's counters (copies spent on the phase, redraws, fallbacks, fits that
-    did not converge).
+    stderr is that of n_times_weighted_mse.  diagnostics holds the
+    strategy's own entries; its int values are the run's counters (copies
+    spent on the phase, redraws, fallbacks, fits that did not converge).
     """
 
     empirical_mse: np.ndarray
@@ -313,11 +313,12 @@ def sample_outcomes(t, povm, n, rng):
 
 
 def mse_from_trials(estimates, truth, weight, n=1):
-    """Empirical MSE matrix and jackknife stderr of its weighted trace.
+    """Empirical MSE matrix, its weighted trace, and n times that trace with its stderr.
 
-    estimates: (trials, k) array of per-trial estimates; truth: k-vector.
-    The jackknife is over trials; for a plain mean it reduces to the usual
-    standard error of the per-trial weighted squared errors.
+    estimates: (trials, k) array of per-trial estimates; truth: k-vector;
+    weight: k x k.  The stderr is n times the jackknife over trials, which
+    for a plain mean is the usual standard error of the per-trial weighted
+    squared errors.
     """
     estimates = np.asarray(estimates, dtype=float)
     if estimates.ndim != 2 or estimates.shape[0] < 2:
@@ -325,12 +326,11 @@ def mse_from_trials(estimates, truth, weight, n=1):
     errors = estimates - np.asarray(truth, dtype=float)
     v = errors.T @ errors / errors.shape[0]
     wfull = weight.full() if isinstance(weight, WeightSpec) else np.asarray(weight)
-    wfull = wfull[: errors.shape[1], : errors.shape[1]]
     per_trial = np.einsum("ti,ij,tj->t", errors, wfull, errors)
     weighted = float(np.mean(per_trial))
     ntr = len(per_trial)
     stderr = float(np.std(per_trial, ddof=1) / np.sqrt(ntr))
-    return SimResult(v, weighted, n * weighted, stderr)
+    return SimResult(v, weighted, n * weighted, n * stderr)
 
 
 def _interest_weight(weight):
@@ -339,9 +339,9 @@ def _interest_weight(weight):
 
 
 def _result(cfg, trial_means, w2, diagnostics):
-    """SimResult of the per-trial interest estimates, stderr per copy."""
+    """SimResult of the per-trial interest estimates, per copy, with diagnostics."""
     result = mse_from_trials(trial_means, cfg.theta_true.as_array(2), w2, n=cfg.n)
-    return replace(result, stderr=cfg.n * result.stderr, diagnostics=diagnostics)
+    return replace(result, diagnostics=diagnostics)
 
 
 def run_single_copy_optimal(cfg):
@@ -375,6 +375,7 @@ def _phase_stage_rough(s, m, rng):
     the implied visibility estimate, and a flag for a degenerate draw (both
     empirical means zero) that forced a redraw.
     """
+    # m >= 1, so m2 >= 1; m1 is 0 when m = 1
     m1 = m // 2
     m2 = m - m1
     p1 = 0.5 * (1.0 + s[0])
@@ -382,14 +383,14 @@ def _phase_stage_rough(s, m, rng):
     resampled = False
     for _ in range(100):
         mean1 = 2.0 * rng.binomial(m1, p1) / m1 - 1.0 if m1 else 0.0
-        mean2 = 2.0 * rng.binomial(m2, p2) / m2 - 1.0 if m2 else 0.0
+        mean2 = 2.0 * rng.binomial(m2, p2) / m2 - 1.0
         if mean1 != 0.0 or mean2 != 0.0:
             break
         resampled = True
     theta3_hat = math.atan2(mean2, mean1)
     r2 = max(mean1 * mean1 + mean2 * mean2, 1e-12)
     var1 = (1.0 - mean1 * mean1) / m1 if m1 else 0.0
-    var2 = (1.0 - mean2 * mean2) / m2 if m2 else 0.0
+    var2 = (1.0 - mean2 * mean2) / m2
     v33_hat = (mean1 * mean1 * var2 + mean2 * mean2 * var1) / (r2 * r2)
     return theta3_hat, max(v33_hat, 1e-12), math.sqrt(r2), resampled
 
@@ -511,7 +512,7 @@ def _project_theta(vec):
     return ThetaParams(max(t1, 1e-6), t2, t3)
 
 
-def _mle_update(stack, start, steps=20):
+def _mle_update(stack, start):
     """Fisher-scoring MLE over the stacked outcomes of all batches so far.
 
     Each row of stack is (a_x, w_x, count_x, batch total) for one outcome
@@ -520,12 +521,12 @@ def _mle_update(stack, start, steps=20):
     converged.  Where the expected information falls short of the observed
     one (near the edge of the Bloch ball), the steps overshoot and the
     iterates can oscillate towards the maximum too slowly to converge in
-    `steps`; the last of them is still a fit to every batch.
+    20 steps; the last of them is still a fit to every batch.
     """
     axes, weights, counts, totals = stack[:, :3], stack[:, 3], stack[:, 4], stack[:, 5]
     theta = start
     converged = False
-    for _ in range(steps):
+    for _ in range(20):
         derivs = np.array(bloch_derivatives(theta, 3))
         p, dp = bloch_outcome_gradients(weights, axes, bloch_from_theta(theta), derivs)
         keep = p > 1e-12

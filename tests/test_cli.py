@@ -15,16 +15,13 @@ import numpy as np
 import pytest
 
 import qest
-from qest.bounds import WeightSpec, nagaoka_bound
+from qest.bounds import WeightSpec, bound_report, nagaoka_bound
 from qest.cli import main
 from qest.model import ThetaParams, bloch_derivatives, bloch_from_theta
 from qest.simulate import SimConfig, run
 
 
-def run_cli(argv, env=None, monkeypatch=None):
-    if env and monkeypatch:
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
+def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
@@ -33,7 +30,7 @@ def run_cli(argv, env=None, monkeypatch=None):
 
 def test_bounds_known_phase():
     code, out, err = run_cli(
-        ["bounds", "--theta", "0.5,0.5,1.0", "--weight", "identity", "--nuisance", "known"]
+        ["bounds", "--theta", "0.5,0.5,1.0", "--weight", "identity"]
     )
     assert code == 0
     data = json.loads(out)
@@ -46,13 +43,29 @@ def test_bounds_known_phase():
 
 def test_bounds_unknown_phase():
     code, out, _ = run_cli(
-        ["bounds", "--theta", "0.5,0.5,1.0", "--nuisance", "unknown", "--w3", "1"]
+        ["bounds", "--theta", "0.5,0.5,1.0", "--w3", "1"]
     )
     assert code == 0
     data = json.loads(out)
     assert data["sld_cr"] == pytest.approx(5.5)
     assert data["holevo"] == pytest.approx(8.3284271, abs=1e-6)
     assert data["nagaoka_hgm"] == pytest.approx(13.7426407, abs=1e-6)
+
+
+def test_w3_makes_the_phase_unknown():
+    t = ThetaParams(0.5, 0.3, 0.7)
+    report = bound_report(t, 3, WeightSpec.block(np.eye(2), 2.5))
+    _, bounds_out, _ = run_cli(["bounds", "--theta", "0.5,0.3,0.7", "--w3", "2.5"])
+    _, sweep_out, _ = run_cli(
+        ["sweep", "--theta", "0.5,0.3,0.7", "--axis", "theta1", "--min", "0.5", "--max", "0.5",
+         "--steps", "1", "--w3", "2.5"]
+    )
+    data = json.loads(bounds_out)
+    row = list(csv.reader(io.StringIO(sweep_out)))[1]
+    assert data["k"] == 3
+    for i, column in enumerate(("sld_cr", "rld_cr", "nagaoka_hgm", "holevo"), start=1):
+        assert data[column] == pytest.approx(getattr(report, column), rel=1e-8)
+        assert float(row[i]) == pytest.approx(getattr(report, column), rel=1e-8)
 
 
 def test_bounds_rejects_zero_theta1():
@@ -269,7 +282,7 @@ def test_simulate_json_and_csv(tmp_path):
 )
 def test_simulate_prints_the_run_counters(strategy, counters):
     code, out, _ = run_cli(
-        ["simulate", "--theta", "0.6,0,0.3", "--nuisance", "known", "--strategy", strategy,
+        ["simulate", "--theta", "0.6,0,0.3", "--strategy", strategy,
          "--n", "100,200", "--trials", "4", "--seed", "1", "--batch-size", "20"]
     )
     assert code == 0
@@ -282,15 +295,47 @@ def test_simulate_prints_the_run_counters(strategy, counters):
         assert any(row["diagnostics"].values())
 
 
-def test_simulate_seed_env_override(monkeypatch):
-    _, base, _ = run_cli(
-        ["simulate", "--theta", "0.6,0,0.3", "--n", "10", "--trials", "200", "--seed", "5"]
-    )
+def test_simulate_seed_comes_from_the_flag_only(monkeypatch):
+    argv = ["simulate", "--theta", "0.6,0,0.3", "--n", "10", "--trials", "200", "--seed", "99"]
+    _, base, _ = run_cli(argv)
     monkeypatch.setenv("QEST_SEED", "5")
-    _, overridden, _ = run_cli(
-        ["simulate", "--theta", "0.6,0,0.3", "--n", "10", "--trials", "200", "--seed", "99"]
+    _, with_env, _ = run_cli(argv)
+    assert with_env == base
+    assert json.loads(with_env)["seed"] == 99
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--w3", "1"],
+        ["simulate", "--nuisance", "unknown"],
+        ["bounds", "--nuisance", "unknown"],
+    ],
+)
+def test_removed_phase_flags_are_one_error_line(argv):
+    # simulate has no k=3 measurement, and --w3 alone makes the phase unknown
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+        main(argv + ["--theta", "0.6,0,0.3"])
+    assert exit_.value.code == 2
+    assert out.getvalue() == ""
+    assert len(err.getvalue().splitlines()) == 1
+    assert err.getvalue().startswith("error: unrecognized arguments")
+
+
+@pytest.mark.parametrize("message", ["", "Unable to allocate 74.5 PiB"], ids=["bare", "message"])
+def test_memory_error_is_one_error_line(tmp_path, monkeypatch, message):
+    def fail(cfg):
+        raise MemoryError(message) if message else MemoryError()
+
+    monkeypatch.setattr("qest.cli.run", fail)
+    path = tmp_path / "out.csv"
+    code, out, err = run_cli(
+        ["simulate", "--theta", "0.6,0,0.3", "--n", "100", "--trials", "2", "--csv", str(path)]
     )
-    assert json.loads(base) == json.loads(overridden)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: {message or 'MemoryError'}"]
+    assert not path.exists()
 
 
 def test_simulate_deterministic():
@@ -343,7 +388,7 @@ def test_sweep_monotone_and_gap():
         [
             "sweep", "--theta", "0.5,0,0", "--axis", "theta1",
             "--min", "0.1", "--max", "0.9", "--steps", "81",
-            "--nuisance", "unknown",
+            "--w3", "1",
         ]
     )
     assert code == 0
@@ -424,8 +469,8 @@ def test_bad_weight_is_reported():
     [
         ["bounds", "--weight", "inf,0,0,1"],
         ["bounds", "--weight", "1,nan,nan,1"],
-        ["bounds", "--nuisance", "unknown", "--w3", "inf"],
-        ["bounds", "--nuisance", "unknown", "--w3", "nan"],
+        ["bounds", "--w3", "inf"],
+        ["bounds", "--w3", "nan"],
         ["povm", "--weight", "inf,0,0,1"],
     ],
 )

@@ -59,6 +59,21 @@ def test_mse_requires_two_trials():
         mse_from_trials(np.array([[0.6, 0.0]]), [0.6, 0.0], W)
 
 
+def test_mse_stderr_is_on_the_per_copy_scale():
+    est = np.random.default_rng(4).normal([0.6, 0.0], 0.1, size=(50, 2))
+    once, scaled = (mse_from_trials(est, [0.6, 0.0], W, n=n) for n in (1, 7))
+    assert scaled.n_times_weighted_mse == 7 * once.weighted_mse
+    assert scaled.stderr == 7 * once.stderr > 0.0
+
+
+@pytest.mark.parametrize("weight", [np.eye(3), WeightSpec.block(np.eye(2), 2.0)],
+                         ids=["matrix", "block"])
+def test_mse_weight_must_match_the_estimates(weight):
+    # a 3x3 weight was once cut to its top-left block for 2-column estimates
+    with pytest.raises(ValueError):
+        mse_from_trials(np.tile([0.6, 0.0], (10, 1)), [0.6, 0.0], weight)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(T, W, "bogus", n=100, trials=10)

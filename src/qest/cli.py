@@ -28,6 +28,12 @@ from .simulate import STRATEGIES, SimConfig, run
 
 BOUND_COLUMNS = ("sld_cr", "rld_cr", "nagaoka_hgm", "holevo")
 
+# the strategies that read each tuning flag of simulate, by SimConfig field
+SIMULATE_TUNING = {
+    "phase_fraction_exponent": ("--exponent", ("two-step", "adaptive")),
+    "batch_size": ("--batch-size", ("adaptive",)),
+}
+
 REGION_PREDICATES = {
     "D": in_region_D,
     "D_GM": in_region_D_GM,
@@ -178,13 +184,11 @@ def cmd_simulate(args):
     t = ThetaParams.parse(args.theta)
     w = WeightSpec(_parse_weight(args.weight, 2))
     grid = sorted({_parse_count(v) for v in args.n.split(",")})
-    configs = [
-        SimConfig(
-            t, w, args.strategy, n, args.trials, seed=args.seed,
-            phase_fraction_exponent=args.exponent, batch_size=args.batch_size,
-        )
-        for n in grid
-    ]
+    # a flag left out keeps the SimConfig default
+    tuning = {name: getattr(args, name) for name in SIMULATE_TUNING
+              if getattr(args, name) is not None}
+    configs = [SimConfig(t, w, args.strategy, n, args.trials, seed=args.seed, **tuning)
+               for n in grid]
     # opened before the first run, so that an unwritable path fails first;
     # emptied only once every run succeeded, and removed if it is new
     existed = bool(args.csv) and os.path.exists(args.csv)
@@ -299,10 +303,12 @@ def build_parser():
     )
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    p.add_argument("--exponent", type=float, default=0.5,
-                   help="two-step phase stage uses floor(n^exponent) copies")
-    p.add_argument("--batch-size", type=int, default=100,
-                   help="adaptive strategy batch size")
+    p.add_argument("--exponent", type=float, default=None, metavar="EXPONENT",
+                   dest="phase_fraction_exponent",
+                   help="two-step and adaptive spend floor(n^exponent) copies on the "
+                        f"phase (default {SimConfig.phase_fraction_exponent})")
+    p.add_argument("--batch-size", type=int, default=None,
+                   help=f"adaptive strategy batch size (default {SimConfig.batch_size})")
     p.add_argument("--csv", default=None, metavar="PATH",
                    help="also write per-n results as CSV")
     p.set_defaults(func=cmd_simulate)
@@ -323,6 +329,10 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.subcommand == "simulate":
+        for name, (flag, readers) in SIMULATE_TUNING.items():
+            if getattr(args, name) is not None and args.strategy not in readers:
+                parser.error(f"{flag} is not read by strategy {args.strategy!r}")
     try:
         return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:

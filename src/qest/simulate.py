@@ -9,7 +9,9 @@ Three strategies are supported:
   aimed at the estimated phase.
 * ``adaptive`` -- the full parameter vector is unknown; copies are consumed
   in batches, with a maximum-likelihood re-estimate (and a re-targeted
-  optimal POVM) after every batch.
+  optimal POVM) after every batch.  Part of each batch measures the
+  tangential axis at the phase estimate, so that the phase copies keep up
+  with two-step's budget floor(N^e) as N copies are measured.
 
 Every measurement is a ``qest.povm.Povm`` in Bloch form.  The model is
 covariant under rotation about z: the optimal measurement at phase phi is
@@ -339,7 +341,13 @@ def _interest_weight(weight):
 
 
 def _result(cfg, trial_means, w2, diagnostics):
-    """SimResult of the per-trial interest estimates, per copy, with diagnostics."""
+    """SimResult of the per-trial interest estimates, per copy, with diagnostics.
+
+    A k=3 weight adds "ignored_phase_weight": the third row of the stored
+    weight, which the interest-parameter MSE does not read.
+    """
+    if cfg.weight.k == 3:
+        diagnostics["ignored_phase_weight"] = cfg.weight.full()[2].tolist()
     result = mse_from_trials(trial_means, cfg.theta_true.as_array(2), w2, n=cfg.n)
     return replace(result, diagnostics=diagnostics)
 
@@ -403,17 +411,17 @@ def _phase_stage(s, m, rng):
     two are fused by inverse-variance weighting.  Near-efficient:
     m * var(theta3_hat) approaches g33 = 1/theta1^2.
 
-    Returns (theta3_hat, v33_hat, resampled, low_visibility): resampled
-    flags a rough draw that was redrawn; low_visibility flags a rough
-    visibility estimate below 0.05, for which the rough phase is returned
-    without refinement.
+    Returns (theta3_hat, resampled, low_visibility): resampled flags a
+    rough draw that was redrawn; low_visibility flags a rough visibility
+    estimate below 0.05, for which the rough phase is returned without
+    refinement.
     """
     m_rough = max(m * 2 // 5, min(m, 8))
     m_fine = m - m_rough
     rough, v_rough, r_hat, resampled = _phase_stage_rough(s, m_rough, rng)
     low_visibility = r_hat < 0.05
     if m_fine == 0 or low_visibility:
-        return rough, v_rough, resampled, low_visibility
+        return rough, resampled, low_visibility
     # tangential axis (-sin, cos, 0) at the rough phase: probability
     # (1 + t1 sin d)/2 with d the remaining phase error, inside (0, 1)
     p = 0.5 * (1.0 + math.cos(rough) * s[1] - math.sin(rough) * s[0])
@@ -426,8 +434,7 @@ def _phase_stage(s, m, rng):
     w_rough = 1.0 / v_rough
     w_fine = 1.0 / v_fine
     theta3_hat = rough + delta_hat * w_fine / (w_fine + w_rough)
-    v33_hat = 1.0 / (w_fine + w_rough)
-    return theta3_hat, v33_hat, resampled, False
+    return theta3_hat, resampled, False
 
 
 def run_two_step(cfg):
@@ -439,11 +446,11 @@ def run_two_step(cfg):
     probabilities on the truth are those of the phase-0 measurement on the
     truth rotated by -theta3_hat, (theta1, theta2, theta3 - theta3_hat).
     Each trial samples those and reads the same table: the table does not
-    depend on the phase.  Because the mis-aimed optimal measurement reads
-    off theta1 cos(dtheta3) instead of theta1, the raw estimate carries an
-    O(dtheta3^2) bias; the first component is debiased by the factor
-    1 + v33_hat/2 using the phase stage's own variance estimate, which
-    removes the bias to first order in v33.
+    depend on the phase.  The mis-aimed measurement reads off
+    theta1 cos(dtheta3) instead of theta1, an O(dtheta3^2) bias that is
+    left uncorrected: scaling by 1 + v33_hat/2, with the phase stage's own
+    variance estimate, gains at most about 1% and scales the main stage's
+    noise wherever the rough visibility estimate is small.
     """
     t = cfg.theta_true
     w2 = _interest_weight(cfg.weight)
@@ -457,19 +464,17 @@ def run_two_step(cfg):
     est_matrix = build_optimal_estimator(anchor, w2, measurement).table
     streams = TrialStreams(cfg.seed, range(cfg.trials))
     counts = np.empty((cfg.trials, len(est_matrix)), dtype=np.int64)
-    v33_hats = np.empty(cfg.trials)
     theta3_errors = np.empty(cfg.trials)
     resampled = low_visibility = 0
     for trial in range(cfg.trials):
         rng = cfg.trial_rng(trial, streams)
-        theta3_hat, v33_hats[trial], redrawn, low = _phase_stage(s, m, rng)
+        theta3_hat, redrawn, low = _phase_stage(s, m, rng)
         resampled += redrawn
         low_visibility += low
         theta3_errors[trial] = _wrap_angle(theta3_hat - t.theta3)
         turned = ThetaParams(t.theta1, t.theta2, t.theta3 - theta3_hat)
         counts[trial] = sample_outcomes(turned, measurement, n2, rng)
     trial_means = counts @ est_matrix / n2
-    trial_means[:, 0] *= 1.0 + 0.5 * v33_hats
     v33_emp = float(np.mean(theta3_errors**2))
     gamma = gamma_factor(v33_emp, g33 / cfg.n) if v33_emp > g33 / cfg.n else math.inf
     diag = {
@@ -551,10 +556,14 @@ def run_adaptive(cfg):
     """Batched adaptive strategy with maximum-likelihood re-estimation.
 
     The first batch is tomographic (sigma1, sigma2, sigma3 thirds); every
-    later batch uses the optimal POVM at the current estimate.  Batches
-    hold batch_size copies, the last one the remainder, so that a trial
-    measures n copies.  The final interest-parameter estimate comes from
-    the last MLE.
+    later batch measures the optimal POVM at the current estimate, mixed
+    with the tangential PVM at its phase at a share f.  With N the copies
+    measured once the batch is done and two-step's exponent e, f brings
+    the phase copies up to floor(N^e), at most half the batch; the first
+    batch counts its sigma1 and sigma2 thirds.  Batches hold batch_size
+    copies, the last one the remainder, so that a trial measures n copies.
+    The final interest-parameter estimate comes from the last MLE, over
+    the outcomes of every batch.
     """
     t = cfg.theta_true
     w2 = _interest_weight(cfg.weight)
@@ -568,11 +577,19 @@ def run_adaptive(cfg):
         rng = cfg.trial_rng(trial, streams)
         rows = []
         theta_hat = None
+        measured = spent = 0
         for batch in sizes:
+            measured += batch
             if theta_hat is None:
                 measurement = TOMOGRAPHIC
+                # its sigma1 and sigma2 thirds see the phase
+                spent = 2.0 * batch / 3.0
             else:
-                measurement = optimal_povm_plan(theta_hat, w2).measurement()
+                budget = int(measured ** cfg.phase_fraction_exponent)
+                share = min(0.5, max(budget - spent, 0.0) / batch)
+                optimal = optimal_povm_plan(theta_hat, w2).measurement()
+                measurement = _with_tangential(optimal, theta_hat, share)
+                spent += share * batch
             counts = sample_outcomes(t, measurement, batch, rng)
             rows.append(np.column_stack((
                 measurement.axes, measurement.weights, counts, np.full(len(counts), batch)
@@ -583,6 +600,23 @@ def run_adaptive(cfg):
         trial_means[trial] = theta_hat.as_array(2)
     diag = {"strategy": cfg.strategy, "nonconverged_batches": nonconverged}
     return _result(cfg, trial_means, w2, diag)
+
+
+def _with_tangential(optimal, theta_hat, share):
+    """The Povm optimal, weighted 1 - share, and the tangential PVM at theta_hat, weighted share.
+
+    The tangential axis (-sin, cos, 0) at the estimated phase is the one of
+    two-step's fine stage; its outcomes "t+", "t-" follow the optimal ones.
+    At share 0 this is optimal itself.
+    """
+    if share == 0.0:
+        return optimal
+    axis = [-math.sin(theta_hat.theta3), math.cos(theta_hat.theta3), 0.0]
+    return Povm(
+        optimal.labels + ("t+", "t-"),
+        np.concatenate(((1.0 - share) * optimal.weights, [share, share])),
+        np.vstack((optimal.axes, axis, [-x for x in axis])),
+    )
 
 
 def _initial_guess(counts):

@@ -283,7 +283,8 @@ def test_simulate_json_and_csv(tmp_path):
 def test_simulate_prints_the_run_counters(strategy, counters):
     code, out, _ = run_cli(
         ["simulate", "--theta", "0.6,0,0.3", "--strategy", strategy,
-         "--n", "100,200", "--trials", "4", "--seed", "1", "--batch-size", "20"]
+         "--n", "100,200", "--trials", "4", "--seed", "1"]
+        + (["--batch-size", "20"] if strategy == "adaptive" else [])
     )
     assert code == 0
     for row in json.loads(out)["results"]:
@@ -293,6 +294,30 @@ def test_simulate_prints_the_run_counters(strategy, counters):
         assert row["diagnostics"] == {name: diagnostics[name] for name in counters}
         assert all(type(v) is int for v in row["diagnostics"].values())
         assert any(row["diagnostics"].values())
+
+
+@pytest.mark.parametrize(
+    "strategy, flag",
+    [("single-copy-optimal", "--exponent"), ("single-copy-optimal", "--batch-size"),
+     ("two-step", "--batch-size")],
+)
+def test_simulate_refuses_a_flag_the_strategy_ignores(strategy, flag):
+    value = "0.6" if flag == "--exponent" else "20"
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+        main(["simulate", "--theta", "0.6,0,0.3", "--strategy", strategy, "--n", "100",
+              "--trials", "2", flag, value])
+    assert exit_.value.code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().splitlines() == [f"error: {flag} is not read by strategy {strategy!r}"]
+
+
+def test_adaptive_reads_the_exponent():
+    argv = ["simulate", "--theta", "0.6,0,0.3", "--strategy", "adaptive", "--n", "1000",
+            "--trials", "2"]
+    results = [run_cli(argv + ["--exponent", e]) for e in ("0.9", "0.5")]
+    assert [code for code, _, _ in results] == [0, 0]
+    assert results[0][1] != results[1][1]
 
 
 def test_simulate_seed_comes_from_the_flag_only(monkeypatch):
